@@ -6,7 +6,7 @@ sqrt(P[i, j]) |j><i| per positive entry, so that the Heisenberg action on
 diagonal observables is f -> P f.  Closed communicating classes of the
 chain are exactly the supports of the recurrent projections of the
 embedded channel, and the transient states are the support of the
-metastable remainder -- :func:`compare_resolutions` checks that equality.
+metastable remainder -- :func:`support_comparison` checks that equality.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from .models import (
 )
 
 __all__ = ["ChainClassification", "ComparisonResult", "stochastic_to_channel",
-           "classical_classify", "compare_resolutions"]
+           "classical_classify", "support_comparison", "compare_resolutions"]
 
 
 @dataclass(frozen=True)
@@ -84,22 +84,16 @@ def classical_classify(p, tol=DEFAULT_TOL):
                                transient_states=frozenset(transient))
 
 
-def compare_resolutions(p, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
-    """Resolve the embedded channel and compare against the SCC oracle.
+def support_comparison(resolution, chain):
+    """Compare a resolution of an embedded chain with its SCC classes.
 
     Agreement means: the diagonal supports of the recurrent projections
     equal the closed classes as sets, and the support of the metastable
-    remainder equals the transient states.
+    remainder equals the transient states.  Returns (agree, detail).
     """
-    from .resolution import resolve
-
-    p = _check_stochastic(p, tol)
-    model = stochastic_to_channel(p, tol)
-    res = resolve(model, seed=seed, tol=tol)
-    chain = classical_classify(p, tol)
-
-    supports = {proj.diagonal_support() for proj in res.recurrent_projections}
-    remainder = res.metastable_remainder.diagonal_support()
+    supports = {proj.diagonal_support()
+                for proj in resolution.recurrent_projections}
+    remainder = resolution.metastable_remainder.diagonal_support()
     oracle = set(chain.closed_classes)
     agree = supports == oracle and remainder == chain.transient_states
     detail = {
@@ -108,5 +102,18 @@ def compare_resolutions(p, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
         "resolved_transient": sorted(remainder),
         "transient_states": sorted(chain.transient_states),
     }
+    return agree, detail
+
+
+def compare_resolutions(p, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
+    """Resolve the embedded channel and compare against the SCC oracle
+    (see :func:`support_comparison`)."""
+    from .resolution import resolve
+
+    p = _check_stochastic(p, tol)
+    model = stochastic_to_channel(p, tol)
+    res = resolve(model, seed=seed, tol=tol)
+    chain = classical_classify(p, tol)
+    agree, detail = support_comparison(res, chain)
     return ComparisonResult(agree=agree, detail=detail, resolution=res,
                             chain=chain)

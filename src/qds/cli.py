@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .classical import compare_resolutions
+from .classical import classical_classify, support_comparison
 from .errors import (
     ConvergenceError, CrossCheckError, StructuralError, ValidationFailure,
 )
@@ -26,9 +26,9 @@ from .ergodicity import (
 from .models import (
     DEFAULT_SEED, KIND_STOCHASTIC, Tolerances, validate_model,
 )
-from .picard import picard_iterate, picard_limit
+from .picard import picard_limit
 from .projections import Projection, is_harmonic, is_subharmonic
-from .resolution import classify_projection, is_transient_complement, resolve
+from .resolution import classify_projection, resolve
 from .serialize import (
     Report, load_matrix, load_model, report_to_json, report_to_text,
 )
@@ -121,12 +121,13 @@ def cmd_classify(model_path, projection_path, args):
     residuals = {"subharmonic_residual": sub.residual,
                  "order_min_eig": sub.order_min_eig}
     if sub.verdict:
-        trans = is_transient_complement(model, p, tol)
+        cert = cls.certificate
         payload["complement"] = {
-            "transient": trans.transient, "metastable": trans.metastable,
-            "min_eig_y": trans.min_eig_y, "closure_dim": trans.closure_dim,
+            "transient": cert.complement_transient,
+            "metastable": cert.complement_metastable,
+            "min_eig_y": cert.min_eig_y, "closure_dim": cert.closure_dim,
         }
-        residuals["min_eig_y"] = trans.min_eig_y
+        residuals["min_eig_y"] = cert.min_eig_y
     else:
         payload["complement"] = None
     rep = _report(model, "classify", seed, tol, payload, residuals, started)
@@ -155,15 +156,13 @@ def cmd_resolve(model_path, args):
     residuals = {
         "y_total_min_eig": float(np.linalg.eigvalsh(res.y_total)[0]),
     }
-    verdict_ok = True
     if model.kind == KIND_STOCHASTIC:
-        comparison = compare_resolutions(model.stochastic_matrix, seed=seed,
-                                         tol=tol)
-        payload["classical_comparison"] = {
-            "agree": comparison.agree, **comparison.detail}
-        verdict_ok = comparison.agree
+        # resolve has raised already if the supports disagree
+        agree, detail = support_comparison(
+            res, classical_classify(model.stochastic_matrix, tol))
+        payload["classical_comparison"] = {"agree": agree, **detail}
     rep = _report(model, "resolve", seed, tol, payload, residuals, started)
-    return rep, (0 if verdict_ok or not args.strict else 1)
+    return rep, 0
 
 
 def cmd_evolve(model_path, operator_path, args):
@@ -202,15 +201,13 @@ def cmd_picard(model_path, operator_path, args):
         raise StructuralError("picard requires --t")
     result = picard_limit(model, x, args.t, tol=tol, max_n=args.max_n,
                           steps=args.steps)
-    trace = picard_iterate(model, x, args.t, result.n_used, steps=args.steps,
-                           tol=tol)
     payload = {
         "value": result.value,
         "n_used": result.n_used,
         "t": args.t,
         "steps": args.steps,
         "trace": [{"n": k, "value": np.asarray(m)}
-                  for k, m in enumerate(trace.iterates)],
+                  for k, m in enumerate(result.iterates)],
     }
     residuals = {
         "last_gap": result.last_gap,

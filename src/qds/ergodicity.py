@@ -79,13 +79,11 @@ class ReductionEquivalence:
     consistent: bool
 
 
-def _predual_ergodic_state(model, tol):
-    """Cesaro-limit state of the maximally mixed initial state: invariant,
-    PSD, with maximal support among invariant states."""
-    d = model.dim
-    s = predual_superoperator(model, tol)
-    data = spectral_split(s, tol)
-    rho = unvec(data.apply_projection(data.ergodic_index, vec(np.eye(d) / d)), d)
+def _predual_ergodic_state(data, d, tol):
+    """Cesaro-limit state of the maximally mixed initial state under the
+    predual split ``data``: invariant, PSD, with maximal support among
+    invariant states."""
+    rho = unvec(data.apply_ergodic(vec(np.eye(d) / d)), d)
     rho = hermitize(rho)
     tr = float(np.trace(rho).real)
     if tr <= tol.rank_tol:
@@ -110,7 +108,8 @@ def corner_invariant_state(model, p, tol=DEFAULT_TOL):
     """
     p_obj = p if isinstance(p, Projection) else Projection.from_matrix(p, tol)
     reduced = reduce_model(model, p_obj, tol)
-    rho_corner = _predual_ergodic_state(reduced, tol)
+    data = spectral_split(predual_superoperator(reduced, tol), tol)
+    rho_corner = _predual_ergodic_state(data, reduced.dim, tol)
     support_rank = range_projection(rho_corner, tol).rank
     if model.kind == "stochastic":
         support = sorted(p_obj.diagonal_support())
@@ -208,20 +207,8 @@ def strong_ergodicity_check(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
 
     phi0 = None
     if holds:
-        col = data.clusters[data.ergodic_index][0]
-        rho = hermitize(unvec(data.right_basis[:, col], model.dim))
-        tr = float(np.trace(rho).real)
-        if abs(tr) < tol.rank_tol:
-            raise ConvergenceError("ergodic eigenvector is traceless")
-        rho = rho / tr
-        vals, vecs = np.linalg.eigh(rho)
-        if vals[0] < -100 * tol.alg_tol:
-            raise ConvergenceError(
-                f"unique fixed point is not a state (min eig {vals[0]:.3g})")
-        rho = vecs @ np.diag(np.clip(vals, 0.0, None)) @ dagger(vecs)
-        rho = hermitize(rho / np.trace(rho).real)
-        phi0 = DensityMatrix.from_matrix(rho, tol)
-
+        phi0 = DensityMatrix.from_matrix(
+            _predual_ergodic_state(data, model.dim, tol), tol)
         kind, value, leftover = _horizon(data, tol)
         rng = np.random.default_rng(seed_sequence(seed))
         gate = max(tol.alg_tol, 100.0 * leftover)

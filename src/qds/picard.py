@@ -39,7 +39,11 @@ class PicardTrace:
 
 @dataclass(frozen=True)
 class PicardResult:
+    """Converged value at time t and the iterates tau_0(x)..tau_n(x)
+    that led to it (n = ``n_used``)."""
+
     value: np.ndarray
+    iterates: tuple
     n_used: int
     last_gap: float
     integral_residual: float
@@ -160,6 +164,7 @@ def picard_limit(model, x, t, tol=DEFAULT_TOL, max_n=60, steps=256):
     """
     grid = _PicardGrid(model, x, t, steps, tol)
     table = grid.t0
+    iterates = [hermitize(table[-1])]
     gap = np.inf
     n_used = 0
     residual = np.inf
@@ -167,6 +172,7 @@ def picard_limit(model, x, t, tol=DEFAULT_TOL, max_n=60, steps=256):
         new = grid.next_level(table)
         gap = spectral_norm(new[-1] - table[-1])
         table = new
+        iterates.append(hermitize(table[-1]))
         n_used = n
         if gap <= tol.conv_tol:
             residual = grid.integral_residual(table)
@@ -177,8 +183,9 @@ def picard_limit(model, x, t, tol=DEFAULT_TOL, max_n=60, steps=256):
             f"Picard iteration did not converge in {max_n} levels "
             f"(last gap {gap:.3g})")
 
-    value = hermitize(table[-1])
+    value = iterates[-1]
     mismatch = spectral_norm(value - evolve_heisenberg(model, x, t=t, tol=tol))
-    return PicardResult(value=value, n_used=n_used, last_gap=float(gap),
+    return PicardResult(value=value, iterates=tuple(iterates), n_used=n_used,
+                        last_gap=float(gap),
                         integral_residual=float(residual),
                         exp_mismatch=float(mismatch))

@@ -389,19 +389,17 @@ def _check_resolution_invariants(parts, q, y_total, d, tol):
 
 
 def _cross_check_classical(model, result, tol):
-    from .classical import classical_classify
+    from .classical import classical_classify, support_comparison
 
-    chain = classical_classify(model.stochastic_matrix, tol)
-    supports = {p.diagonal_support() for p in result.recurrent_projections}
-    oracle = set(chain.closed_classes)
-    remainder_support = result.metastable_remainder.diagonal_support()
-    if supports != oracle or remainder_support != chain.transient_states:
+    agree, detail = support_comparison(
+        result, classical_classify(model.stochastic_matrix, tol))
+    if not agree:
         raise CrossCheckError(
             "resolution disagrees with the classical classification: "
-            f"resolved supports {sorted(map(sorted, supports))} vs closed "
-            f"classes {sorted(map(sorted, oracle))}; remainder "
-            f"{sorted(remainder_support)} vs transient "
-            f"{sorted(chain.transient_states)}")
+            f"resolved supports {detail['resolved_supports']} vs closed "
+            f"classes {detail['closed_classes']}; remainder "
+            f"{detail['resolved_transient']} vs transient "
+            f"{detail['transient_states']}")
 
 
 def commutant_dimension(model, tol=DEFAULT_TOL):

@@ -1,10 +1,15 @@
 """Spectral analysis of superoperators.
 
-Provides the clustered eigendecomposition of a superoperator matrix, time
-evolution in either picture, and the asymptotic operator
-y = lim_t tau_t(p) for a sub-harmonic projection p, computed as the
-ergodic (Cesaro) spectral projection applied to p and cross-checked
-against a long-horizon evolution.
+Provides the clustered spectrum of a superoperator matrix with its
+ergodic (Cesaro) spectral projection, time evolution in either picture,
+and the asymptotic operator y = lim_t tau_t(p) for a sub-harmonic
+projection p, computed as the ergodic projection applied to p and
+cross-checked against a long-horizon evolution.
+
+The ergodic projection is built from the two kernels of S - lambda_0
+alone, never from an inverse of the full eigenvector matrix: an embedded
+classical chain has a zero eigenvalue of multiplicity about d^2 - d, and
+an eigenbasis inverse then loses the kernel of the projection.
 """
 
 import hashlib
@@ -32,36 +37,39 @@ CLUSTER_TOL = 1e-7
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Clustered eigendecomposition of a superoperator matrix.
+    """Clustered spectrum of a superoperator matrix and its ergodic
+    (Cesaro) spectral projection E.
 
-    eigenvalues[i] is the mean of cluster i, clusters[i] the column
-    indices of its (orthonormalized within the cluster) right eigenvectors
-    in ``right_basis``; ``left_rows`` holds the matching rows of the
-    inverse basis, so the spectral projection of cluster i is
-    ``right_basis[:, c] @ left_rows[c, :]``.
+    eigenvalues[i] is the mean of cluster i and clusters[i] the indices of
+    its members among the eigenvalues of ``matrix``.  E is stored factored
+    as ``ergodic_right @ ergodic_rows``: the columns of ``ergodic_right``
+    span the right kernel of S - lambda_0 (lambda_0 the ergodic cluster's
+    mean) and ``ergodic_rows`` is (L^+ R)^-1 L^+, with L spanning the left
+    kernel.  Projections of the other clusters are built on demand from a
+    sorted Schur form.
     """
 
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
     clusters: tuple
-    right_basis: np.ndarray
-    left_rows: np.ndarray
     peripheral: tuple
     ergodic_index: int
     time_kind: str
-    schur_projections: dict
+    matrix: np.ndarray
+    cluster_tol: float
+    ergodic_right: np.ndarray
+    ergodic_rows: np.ndarray
 
     def projection(self, i):
-        if i in self.schur_projections:
-            return self.schur_projections[i]
-        c = self.clusters[i]
-        return self.right_basis[:, c] @ self.left_rows[c, :]
+        if i == self.ergodic_index:
+            return self.ergodic_right @ self.ergodic_rows
+        mu, radius = self.eigenvalues[i], 10 * self.cluster_tol
+        return _schur_cluster_projection(
+            self.matrix, lambda lam: abs(lam - mu) <= radius)
 
-    def apply_projection(self, i, v):
-        if i in self.schur_projections:
-            return self.schur_projections[i] @ v
-        c = self.clusters[i]
-        return self.right_basis[:, c] @ (self.left_rows[c, :] @ v)
+    def apply_ergodic(self, v):
+        """E v, at O(n k) cost for a cluster of size k."""
+        return self.ergodic_right @ (self.ergodic_rows @ v)
 
     @property
     def spectral_projections(self):
@@ -90,23 +98,22 @@ class SpectralData:
 
 
 def _cluster_indices(values, radius):
-    """Connected components of the 'within radius' graph on eigenvalues."""
-    unassigned = set(range(len(values)))
+    """Connected components of the 'within radius' graph on eigenvalues,
+    ordered by their smallest member in (real, imag, index) order."""
+    near = np.abs(values[:, None] - values[None, :]) <= radius
+    free = np.ones(len(values), dtype=bool)
     clusters = []
-    while unassigned:
-        seed = min(unassigned, key=lambda k: (values[k].real, values[k].imag, k))
-        group = [seed]
-        unassigned.discard(seed)
-        frontier = [seed]
-        while frontier:
-            base = frontier.pop()
-            near = [k for k in unassigned
-                    if abs(values[k] - values[base]) <= radius]
-            for k in near:
-                unassigned.discard(k)
-                group.append(k)
-                frontier.append(k)
-        clusters.append(np.array(sorted(group)))
+    for seed in sorted(range(len(values)),
+                       key=lambda k: (values[k].real, values[k].imag, k)):
+        if not free[seed]:
+            continue
+        group = near[seed].copy()
+        grown = group
+        while grown.any():
+            grown = near[grown].any(axis=0) & ~group
+            group |= grown
+        free &= ~group
+        clusters.append(np.flatnonzero(group))
     return clusters
 
 
@@ -129,27 +136,22 @@ def _schur_cluster_projection(matrix, in_cluster):
     return z @ block @ dagger(z)
 
 
-def _geometric_multiplicity(matrix, eigenvalue, rank_tol):
-    n = matrix.shape[0]
-    s = np.linalg.svd(matrix - eigenvalue * np.eye(n), compute_uv=False)
-    if s[0] == 0.0:
-        return n
-    return int(np.sum(s <= rank_tol * s[0]))
-
-
 _SPLIT_CACHE: dict = {}
 _SPLIT_LOCK = threading.Lock()
 _SPLIT_CACHE_MAX = 16
 
 
 def spectral_split(superop, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
-    """Clustered eigendecomposition of a superoperator.
+    """Clustered spectrum and ergodic projection of a superoperator.
 
     Eigenvalues within ``cluster_tol`` of each other are grouped; the
-    cluster containing the ergodic eigenvalue (1 for a discrete step, 0
-    for a continuous generator) is identified and required to be
-    non-defective.  Results are cached per matrix contents; reads are
-    lock-protected so concurrent use is safe.
+    cluster containing the ergodic eigenvalue lambda_0 (1 for a discrete
+    step, 0 for a continuous generator) is identified and required to be
+    non-defective.  Its spectral projection E = R (L^+ R)^-1 L^+ comes
+    from one SVD of S - lambda_0, whose last k right and left singular
+    vectors (k the cluster size) span the two kernels; E must pass
+    idempotency and left/right invariance checks.  Results are cached per
+    matrix contents; reads are lock-protected so concurrent use is safe.
     """
     key = (hashlib.sha256(np.ascontiguousarray(superop.matrix).tobytes()).hexdigest(),
            superop.time_kind, float(tol.rank_tol), float(tol.alg_tol),
@@ -168,7 +170,7 @@ def spectral_split(superop, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
 def _spectral_split_impl(superop, tol, cluster_tol):
     m = superop.matrix
     n = m.shape[0]
-    w, v = np.linalg.eig(m)
+    w = np.linalg.eig(m)[0]
     clusters = _cluster_indices(w, cluster_tol)
     means = np.array([np.mean(w[c]) for c in clusters])
     mults = np.array([len(c) for c in clusters])
@@ -182,11 +184,19 @@ def _spectral_split_impl(superop, tol, cluster_tol):
             "unital map/generator")
     ergodic_index = min(candidates, key=lambda i: abs(means[i] - ergodic_value))
 
-    geo = _geometric_multiplicity(m, means[ergodic_index], max(tol.rank_tol, 1e-12))
-    if geo < mults[ergodic_index]:
+    # The two kernels of S - lambda_0 come from one SVD; the ergodic
+    # eigenvalue is semisimple iff the right kernel has its full size.
+    lam0 = means[ergodic_index]
+    k = int(mults[ergodic_index])
+    u, s, vh = np.linalg.svd(m - lam0 * np.eye(n))
+    geo = n if s[0] == 0.0 else int(np.sum(s <= max(tol.rank_tol, 1e-12) * s[0]))
+    if geo < k:
         raise ConvergenceError(
             "non-diagonalizable peripheral part: the ergodic eigenvalue has a "
-            f"Jordan block (algebraic {mults[ergodic_index]}, geometric {geo})")
+            f"Jordan block (algebraic {k}, geometric {geo})")
+    right = dagger(vh[n - k:])
+    left = dagger(u[:, n - k:])
+    rows = np.linalg.solve(left @ right, left)
 
     if superop.time_kind == DISCRETE_STEP:
         peripheral = tuple(i for i, mu in enumerate(means)
@@ -195,57 +205,32 @@ def _spectral_split_impl(superop, tol, cluster_tol):
         peripheral = tuple(i for i, mu in enumerate(means)
                            if abs(mu.real) <= cluster_tol)
 
-    # Orthonormalize eigenvector blocks within each cluster: the spectral
-    # projections are basis-independent and this improves conditioning.
-    v = v.copy()
-    for c in clusters:
-        if len(c) > 1:
-            q, _ = np.linalg.qr(v[:, c])
-            v[:, c] = q
-
-    schur_fallback = {}
-    left = None
-    try:
-        left = np.linalg.solve(v, np.eye(n, dtype=complex))
-    except np.linalg.LinAlgError:
-        left = None
-
-    if left is not None:
-        # quality check on random vectors; a defective (non-peripheral)
-        # part shows up as a badly conditioned eigenbasis
-        rng = np.random.default_rng(0)
-        probe = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        probe /= np.linalg.norm(probe)
-        recon = v @ (left @ probe)
-        if np.linalg.norm(recon - probe) > 1e-6:
-            left = None
-
-    if left is None:
-        # per-cluster Schur projections (expensive, rare)
-        left = np.zeros((n, n), dtype=complex)  # placeholder, not used
-        for i, c in enumerate(clusters):
-            mu = means[i]
-
-            def in_cluster(lam, _mu=mu, _r=cluster_tol):
-                return abs(lam - _mu) <= 10 * _r
-
-            schur_fallback[i] = _schur_cluster_projection(m, in_cluster)
-
     data = SpectralData(
-        eigenvalues=means, multiplicities=mults,
-        clusters=tuple(clusters), right_basis=v, left_rows=left,
+        eigenvalues=means, multiplicities=mults, clusters=tuple(clusters),
         peripheral=peripheral, ergodic_index=ergodic_index,
-        time_kind=superop.time_kind, schur_projections=schur_fallback)
-
-    # the ergodic projection must behave as a spectral projection
-    p_err = data.apply_projection(ergodic_index,
-                                  data.apply_projection(ergodic_index, probe_vec(n)))
-    p_once = data.apply_projection(ergodic_index, probe_vec(n))
-    if np.linalg.norm(p_err - p_once) > 1e-6 * max(1.0, np.linalg.norm(p_once)):
-        raise ConvergenceError(
-            "ergodic spectral projection failed idempotency; "
-            "the model is numerically unstable")
+        time_kind=superop.time_kind, matrix=m, cluster_tol=cluster_tol,
+        ergodic_right=right, ergodic_rows=rows)
+    _check_ergodic_projection(data, lam0)
     return data
+
+
+def _check_ergodic_projection(data, lam0):
+    """E must be idempotent and commute with S on both sides (E S = S E =
+    lambda_0 E); checked on probe vectors against the original S."""
+    m = data.matrix
+    probe = probe_vec(m.shape[0])
+    once = data.apply_ergodic(probe)
+    row = (probe.conj() @ data.ergodic_right) @ data.ergodic_rows
+    checks = (
+        ("failed idempotency", data.apply_ergodic(once) - once, once),
+        ("is not right-invariant", m @ once - lam0 * once, once),
+        ("is not left-invariant", row @ m - lam0 * row, row),
+    )
+    for what, residual, scale in checks:
+        if not np.linalg.norm(residual) <= 1e-6 * max(1.0, np.linalg.norm(scale)):
+            raise ConvergenceError(
+                f"ergodic spectral projection {what}; the model is "
+                "numerically unstable")
 
 
 def probe_vec(n):
@@ -341,7 +326,7 @@ def asymptotic_operator(model, p, tol=DEFAULT_TOL):
 
     s = heisenberg_superoperator(model, tol)
     data = spectral_split(s, tol)
-    y = unvec(data.apply_projection(data.ergodic_index, vec(p_mat)), model.dim)
+    y = unvec(data.apply_ergodic(vec(p_mat)), model.dim)
     y = hermitize(y)
 
     kind, value, leftover = _horizon(data, tol)

@@ -104,3 +104,14 @@ class TestPicardLimit:
         x = random_hermitian(rng, 2)
         res = picard_limit(model, x, 0.7, steps=64)
         assert res.integral_residual <= 10 * Tolerances().conv_tol
+
+    def test_records_the_iterates_of_picard_iterate(self):
+        rng = np.random.default_rng(4)
+        model = random_lindblad_model(rng, 3, 2, jump_scale=0.6)
+        x = random_hermitian(rng, 3)
+        res = picard_limit(model, x, 0.9, steps=32)
+        trace = picard_iterate(model, x, 0.9, res.n_used, steps=32)
+        assert len(res.iterates) == res.n_used + 1
+        for a, b in zip(res.iterates, trace.iterates, strict=True):
+            assert np.array_equal(a, b)
+        assert np.array_equal(res.value, res.iterates[-1])

@@ -1,18 +1,26 @@
+import dataclasses
+import json
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from qds.ergodicity import invariant_states
 from qds.errors import ConvergenceError, StructuralError
 from qds.models import (
     Superoperator, heisenberg_superoperator, lindblad_model,
+    predual_superoperator, stochastic_model,
 )
 from qds.projections import Projection
 from qds.rand import (
     random_hermitian, random_kraus_model,
     random_kraus_with_invariant_subspace,
 )
+from qds.resolution import resolve
 from qds.spectral import (
-    asymptotic_operator, evolve_heisenberg, evolve_predual, spectral_split,
+    _check_ergodic_projection, _cluster_indices, asymptotic_operator,
+    evolve_heisenberg, evolve_predual, spectral_split,
 )
 
 from conftest import (
@@ -20,6 +28,14 @@ from conftest import (
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+# Chains with closed classes of sizes 5 and 2 plus 3 transient states,
+# drawn by the benchmark's structured_chain(default_rng(s), (5, 2), 3).
+# Their superoperators have a zero eigenvalue of multiplicity about
+# d^2 - d, which an eigenbasis inverse turns into an ergodic projection
+# with the right range but the wrong kernel.
+EIGENBASIS_CHAINS = json.loads(
+    (pathlib.Path(__file__).parent / "eigenbasis_chains.json").read_text())
 
 
 class TestSpectralSplit:
@@ -85,11 +101,88 @@ class TestSpectralSplit:
         erg = data.projection(data.ergodic_index)
         assert np.linalg.norm(erg @ erg - erg, 2) <= 1e-8
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_gate_rejects_wrong_kernel_or_range(self, amplitude_damping, side):
+        # an idempotent E with the right range but the wrong kernel fails
+        # only left invariance; the right kernel but the wrong range fails
+        # only right invariance
+        data = spectral_split(heisenberg_superoperator(amplitude_damping))
+        r, rows = data.ergodic_right, data.ergodic_rows
+        rng = np.random.default_rng(3)
+        if side == "left":
+            z = rng.standard_normal((1, 4))
+            bad = dataclasses.replace(data, ergodic_rows=rows + z - z @ r @ dag(r))
+        else:
+            x = rng.standard_normal((4, 1))
+            bad = dataclasses.replace(data, ergodic_right=r + x - r @ (rows @ x))
+        e = bad.projection(bad.ergodic_index)
+        assert np.linalg.norm(e @ e - e, 2) <= 1e-12
+        lam0 = data.eigenvalues[data.ergodic_index]
+        _check_ergodic_projection(data, lam0)
+        with pytest.raises(ConvergenceError, match=f"not {side}-invariant"):
+            _check_ergodic_projection(bad, lam0)
+
     def test_no_ergodic_eigenvalue_raises(self):
         s = Superoperator(dim=2, matrix=0.5 * np.eye(4, dtype=complex),
                           picture="heisenberg", time_kind="discrete_step")
         with pytest.raises(StructuralError):
             spectral_split(s)
+
+
+def _clusters_by_search(values, radius):
+    """Reference clustering: grow each cluster from the smallest
+    unassigned eigenvalue by repeated neighbour search."""
+    unassigned = set(range(len(values)))
+    clusters = []
+    while unassigned:
+        seed = min(unassigned, key=lambda k: (values[k].real, values[k].imag, k))
+        group, frontier = [seed], [seed]
+        unassigned.discard(seed)
+        while frontier:
+            base = frontier.pop()
+            near = [k for k in unassigned
+                    if abs(values[k] - values[base]) <= radius]
+            unassigned.difference_update(near)
+            group += near
+            frontier += near
+        clusters.append(np.array(sorted(group)))
+    return clusters
+
+
+def test_cluster_indices_match_the_search():
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        centres = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        values = rng.choice(centres[:int(rng.integers(1, n + 1))], n)
+        values = values + 10 ** rng.uniform(-10, -6) * (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        radius = 10 ** rng.uniform(-8, -6)
+        got = _cluster_indices(values, radius)
+        want = _clusters_by_search(values, radius)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", sorted(EIGENBASIS_CHAINS))
+class TestDegenerateChains:
+    def test_ergodic_projection_is_spectral(self, seed):
+        model = stochastic_model(np.array(EIGENBASIS_CHAINS[seed]))
+        for build in (heisenberg_superoperator, predual_superoperator):
+            s = build(model)
+            data = spectral_split(s)
+            e = data.projection(data.ergodic_index)
+            assert np.linalg.norm(e @ e - e, 2) <= 1e-10
+            assert np.linalg.norm(s.matrix @ e - e, 2) <= 1e-10
+            assert np.linalg.norm(e @ s.matrix - e, 2) <= 1e-10
+
+    def test_resolves_with_invariant_states(self, seed):
+        model = stochastic_model(np.array(EIGENBASIS_CHAINS[seed]))
+        res = resolve(model)
+        assert [p.rank for p in res.recurrent_projections] == [5, 2]
+        assert res.metastable_remainder.rank == 3
+        assert len(invariant_states(model).states) == 2
 
 
 class TestEvolution:
