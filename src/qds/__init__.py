@@ -15,7 +15,7 @@ from .classical import (
 )
 from .ergodicity import (
     DensityMatrix, ErgodicityReport, InvariantStates, ReductionEquivalence,
-    ergodicity_reduction_equivalence, invariant_states, is_positive_recurrent,
+    ergodicity_reduction_equivalence, invariant_states,
     strong_ergodicity_check, support_projection,
 )
 from .errors import (
@@ -56,7 +56,7 @@ __all__ = [
     "is_transient_complement", "minimal_subharmonic", "classify_projection",
     "resolve", "commutant_dimension", "find_harmonic_projection",
     "is_irreducible", "invariant_states", "support_projection",
-    "is_positive_recurrent", "strong_ergodicity_check",
+    "strong_ergodicity_check",
     "ergodicity_reduction_equivalence", "picard_iterate", "picard_limit",
     "stochastic_to_channel", "classical_classify", "compare_resolutions",
     "StructuralError", "ValidationFailure", "CrossCheckError",

@@ -5,9 +5,12 @@ dimension; extremal invariant states sit on the recurrent projections of
 the resolution, one per minimal sub-harmonic corner.  Strong ergodicity
 is decided spectrally (simple ergodic eigenvalue, nothing else on the
 peripheral boundary) and verified dynamically on random initial states.
+
+Everything predual is read off the Heisenberg split: the predual matrix is
+the conjugate transpose of the Heisenberg matrix, its ergodic projection is
+E^+, and its peripheral set and gap are those of the Heisenberg matrix.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,16 +19,19 @@ from ._linalg import (
     dagger, hermitize, seed_sequence, spectral_norm, trace_norm, unvec, vec,
 )
 from .errors import ConvergenceError, CrossCheckError, StructuralError
-from .models import DEFAULT_SEED, DEFAULT_TOL, predual_superoperator
+from .models import (
+    DEFAULT_SEED, DEFAULT_TOL, DISCRETE_STEP, heisenberg_superoperator,
+    predual_superoperator,
+)
 from .projections import (
     Projection, is_subharmonic, projection_basis, range_projection, reduce_model,
 )
-from .spectral import _horizon, evolve_predual, spectral_split
+from .spectral import _horizon, _propagator, spectral_split
 
 __all__ = [
     "DensityMatrix", "InvariantStates", "ErgodicityReport",
     "ReductionEquivalence", "invariant_states", "support_projection",
-    "is_positive_recurrent", "strong_ergodicity_check",
+    "strong_ergodicity_check",
     "ergodicity_reduction_equivalence", "corner_invariant_state",
 ]
 
@@ -81,9 +87,9 @@ class ReductionEquivalence:
 
 def _predual_ergodic_state(data, d, tol):
     """Cesaro-limit state of the maximally mixed initial state under the
-    predual split ``data``: invariant, PSD, with maximal support among
-    invariant states."""
-    rho = unvec(data.apply_ergodic(vec(np.eye(d) / d)), d)
+    predual, read off the Heisenberg split ``data`` as E^+ vec(1/d):
+    invariant, PSD, with maximal support among invariant states."""
+    rho = unvec(data.apply_ergodic_adjoint(vec(np.eye(d) / d)), d)
     rho = hermitize(rho)
     tr = float(np.trace(rho).real)
     if tr <= tol.rank_tol:
@@ -108,7 +114,7 @@ def corner_invariant_state(model, p, tol=DEFAULT_TOL):
     """
     p_obj = p if isinstance(p, Projection) else Projection.from_matrix(p, tol)
     reduced = reduce_model(model, p_obj, tol)
-    data = spectral_split(predual_superoperator(reduced, tol), tol)
+    data = spectral_split(heisenberg_superoperator(reduced, tol), tol)
     rho_corner = _predual_ergodic_state(data, reduced.dim, tol)
     support_rank = range_projection(rho_corner, tol).rank
     if model.kind == "stochastic":
@@ -121,16 +127,13 @@ def corner_invariant_state(model, p, tol=DEFAULT_TOL):
     return hermitize(rho_full), support_rank
 
 
-def _fixed_state_residual(model, rho, tol):
-    s = predual_superoperator(model, tol)
-    if s.time_kind == "discrete_step":
-        return spectral_norm(unvec(s.matrix @ vec(rho), model.dim) - rho)
-    return spectral_norm(unvec(s.matrix @ vec(rho), model.dim))
-
-
 def invariant_states(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     """Basis of the predual fixed-point space plus extremal invariant
-    states (one per recurrent projection of the seeded resolution)."""
+    states (one per recurrent projection of the seeded resolution).
+
+    Each state is the one :func:`classify_projection` certified for its
+    recurrent projection inside :func:`resolve`; it is checked here for
+    invariance and for a sub-harmonic support."""
     from .resolution import _hermitian_fixed_basis, resolve
 
     s = predual_superoperator(model, tol)
@@ -142,21 +145,21 @@ def invariant_states(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
 
     res = resolve(model, seed=seed, tol=tol)
     states = []
-    for p_i in res.recurrent_projections:
-        rho, support_rank = corner_invariant_state(model, p_i, tol)
-        if support_rank != p_i.rank:
-            raise CrossCheckError(
-                "extremal state support does not fill its recurrent "
-                f"projection (rank {support_rank} vs {p_i.rank})")
-        resid = _fixed_state_residual(model, rho, tol)
+    for cls in res.certificates:
+        rho = cls.certificate.invariant_state
+        image = unvec(s.matrix @ vec(rho), model.dim)
+        if s.time_kind == DISCRETE_STEP:
+            image = image - rho
+        resid = spectral_norm(image)
         if resid > 100 * tol.alg_tol:
             raise CrossCheckError(
                 f"extremal state is not invariant (residual {resid:.3g})")
-        support = support_projection(DensityMatrix.from_matrix(rho, tol), tol)
-        if not is_subharmonic(model, support, tol).verdict:
+        state = DensityMatrix.from_matrix(rho, tol)
+        if not is_subharmonic(model, support_projection(state, tol),
+                              tol).verdict:
             raise CrossCheckError(
                 "support of an invariant state failed the sub-harmonic test")
-        states.append(DensityMatrix.from_matrix(rho, tol))
+        states.append(state)
     return InvariantStates(basis=tuple(basis), states=tuple(states))
 
 
@@ -166,40 +169,16 @@ def support_projection(rho, tol=DEFAULT_TOL):
     return range_projection(m, tol)
 
 
-def is_positive_recurrent(model, p, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
-    """True iff some invariant state has support exactly p.
-
-    Requires p to be recurrent (minimal sub-harmonic); raises otherwise.
-    """
-    from .resolution import _generator_ops, _smaller_invariant_subspace
-
-    p_obj = p if isinstance(p, Projection) else Projection.from_matrix(p, tol)
-    verdict = is_subharmonic(model, p_obj, tol)
-    if not verdict.verdict:
-        raise StructuralError(
-            f"projection is not sub-harmonic (residual {verdict.residual:.3g})")
-    rng = np.random.default_rng(seed_sequence(seed))
-    smaller = _smaller_invariant_subspace(
-        _generator_ops(model), projection_basis(p_obj, tol), rng, tol,
-        n_random=8)
-    if smaller is not None:
-        raise StructuralError(
-            "projection is not minimal sub-harmonic; positive recurrence is "
-            "defined for recurrent projections only")
-    _, support_rank = corner_invariant_state(model, p_obj, tol)
-    return support_rank == p_obj.rank
-
-
 def strong_ergodicity_check(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     """Decide convergence of every initial state to a unique invariant one.
 
-    Spectrally: the ergodic eigenvalue of the predual must be simple and
-    nothing else may sit on the peripheral boundary.  The verdict is
-    verified dynamically by evolving five random pure states to the
-    spectral horizon; a disagreement raises.
+    Spectrally: the ergodic eigenvalue must be simple and nothing else may
+    sit on the peripheral boundary (the same for the Heisenberg matrix and
+    its conjugate transpose, the predual).  The verdict is verified
+    dynamically by evolving five random pure states to the spectral
+    horizon with one predual propagator; a disagreement raises.
     """
-    s = predual_superoperator(model, tol)
-    data = spectral_split(s, tol)
+    data = spectral_split(heisenberg_superoperator(model, tol), tol)
     simple = int(data.multiplicities[data.ergodic_index]) == 1
     alone = tuple(data.peripheral) == (data.ergodic_index,)
     holds = simple and alone
@@ -210,16 +189,15 @@ def strong_ergodicity_check(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
         phi0 = DensityMatrix.from_matrix(
             _predual_ergodic_state(data, model.dim, tol), tol)
         kind, value, leftover = _horizon(data, tol)
+        prop = _propagator(predual_superoperator(model, tol), model,
+                           **{kind: value})
         rng = np.random.default_rng(seed_sequence(seed))
         gate = max(tol.alg_tol, 100.0 * leftover)
+        d = model.dim
         for _ in range(5):
-            v = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             v = v / np.linalg.norm(v)
-            rho0 = np.outer(v, v.conj())
-            if kind == "n":
-                rho_t = evolve_predual(model, rho0, n=value, tol=tol)
-            else:
-                rho_t = evolve_predual(model, rho0, t=value, tol=tol)
+            rho_t = hermitize(unvec(prop @ vec(np.outer(v, v.conj())), d))
             dist = trace_norm(rho_t - phi0.matrix)
             if dist > gate:
                 raise CrossCheckError(

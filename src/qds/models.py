@@ -12,10 +12,12 @@ A model is one of three kinds:
 
 Vectorization is column-stacking everywhere:
 ``vec(A X B) = (B^T kron A) vec(X)``; superoperators are d^2 x d^2 matrices
-acting on vectorized d x d operators.
+acting on vectorized d x d operators.  Only the Heisenberg matrix has a
+formula: the predual (Schrodinger-picture) matrix is its conjugate
+transpose.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -324,56 +326,39 @@ class Superoperator:
         object.__setattr__(self, "matrix", _freeze(m))
 
 
-def _kraus_heisenberg_matrix(ops, d):
-    acc = np.zeros((d * d, d * d), dtype=complex)
+def _heisenberg_matrix(model, tol):
+    """Validated Heisenberg-picture matrix: one kron per operator."""
+    _require_valid(model, tol)
+    d = model.dim
+    if model.kind == KIND_LINDBLAD:
+        eye = np.eye(d)
+        y = model.drift
+        m = np.kron(eye, dagger(y)) + np.kron(y.T, eye)
+        ops = model.lindblad_ops
+    else:
+        m = np.zeros((d * d, d * d), dtype=complex)
+        ops = model.step_operators()
     for l in ops:
-        acc += np.kron(l.T, dagger(l))
-    return acc
-
-
-def _kraus_predual_matrix(ops, d):
-    acc = np.zeros((d * d, d * d), dtype=complex)
-    for l in ops:
-        acc += np.kron(np.conj(l), l)
-    return acc
+        m += np.kron(l.T, dagger(l))
+    return m
 
 
 def heisenberg_superoperator(model, tol=DEFAULT_TOL):
     """Matrix of the Heisenberg-picture map (or generator) of the model."""
-    _require_valid(model, tol)
-    d = model.dim
-    eye = np.eye(d)
-    if model.kind == KIND_LINDBLAD:
-        y = model.drift
-        m = np.kron(eye, dagger(y)) + np.kron(y.T, eye)
-        for l in model.lindblad_ops:
-            m += np.kron(l.T, dagger(l))
-        s = Superoperator(dim=d, matrix=m, picture=HEISENBERG,
-                          time_kind=CONTINUOUS_GENERATOR)
-    else:
-        m = _kraus_heisenberg_matrix(model.step_operators(), d)
-        s = Superoperator(dim=d, matrix=m, picture=HEISENBERG,
-                          time_kind=DISCRETE_STEP)
+    s = Superoperator(dim=model.dim, matrix=_heisenberg_matrix(model, tol),
+                      picture=HEISENBERG, time_kind=model.time_kind)
     _check_unitality(s, model, tol)
     return s
 
 
 def predual_superoperator(model, tol=DEFAULT_TOL):
-    """Matrix of the Schrodinger-picture (predual) map or generator,
-    trace-dual to :func:`heisenberg_superoperator`."""
-    _require_valid(model, tol)
-    d = model.dim
-    eye = np.eye(d)
-    if model.kind == KIND_LINDBLAD:
-        y = model.drift
-        m = np.kron(eye, y) + np.kron(np.conj(y), eye)
-        for l in model.lindblad_ops:
-            m += np.kron(np.conj(l), l)
-        time_kind = CONTINUOUS_GENERATOR
-    else:
-        m = _kraus_predual_matrix(model.step_operators(), d)
-        time_kind = DISCRETE_STEP
-    return Superoperator(dim=d, matrix=m, picture=SCHRODINGER, time_kind=time_kind)
+    """Matrix of the Schrodinger-picture (predual) map or generator.
+
+    Trace duality tr(rho tau(x)) = tr(tau_*(rho) x) makes it the conjugate
+    transpose of the Heisenberg matrix under column-stacking."""
+    return Superoperator(dim=model.dim,
+                         matrix=dagger(_heisenberg_matrix(model, tol)),
+                         picture=SCHRODINGER, time_kind=model.time_kind)
 
 
 def _check_unitality(s, model, tol):

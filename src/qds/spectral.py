@@ -23,8 +23,8 @@ import scipy.linalg
 from ._linalg import dagger, hermitize, spectral_norm, unvec, vec
 from .errors import ConvergenceError, CrossCheckError, StructuralError
 from .models import (
-    CONTINUOUS_GENERATOR, DEFAULT_TOL, DISCRETE_STEP, KIND_LINDBLAD,
-    Superoperator, apply_map, heisenberg_superoperator, predual_superoperator,
+    DEFAULT_TOL, DISCRETE_STEP, KIND_LINDBLAD, apply_map,
+    heisenberg_superoperator, predual_superoperator,
 )
 
 __all__ = ["SpectralData", "spectral_split", "evolve_heisenberg",
@@ -47,6 +47,12 @@ class SpectralData:
     mean) and ``ergodic_rows`` is (L^+ R)^-1 L^+, with L spanning the left
     kernel.  Projections of the other clusters are built on demand from a
     sorted Schur form.
+
+    The predual matrix is the conjugate transpose of the Heisenberg one,
+    so the split of the Heisenberg matrix serves both pictures: the
+    predual's clusters are the complex conjugates (same moduli and real
+    parts, hence the same peripheral set and gap) and its ergodic
+    projection is E^+.
     """
 
     eigenvalues: np.ndarray
@@ -70,6 +76,10 @@ class SpectralData:
     def apply_ergodic(self, v):
         """E v, at O(n k) cost for a cluster of size k."""
         return self.ergodic_right @ (self.ergodic_rows @ v)
+
+    def apply_ergodic_adjoint(self, v):
+        """E^+ v, the predual's ergodic projection applied to v."""
+        return dagger(self.ergodic_rows) @ (dagger(self.ergodic_right) @ v)
 
     @property
     def spectral_projections(self):
@@ -239,31 +249,26 @@ def probe_vec(n):
     return p / np.linalg.norm(p)
 
 
-def _n_fold(superop, x, n):
-    out = np.linalg.matrix_power(superop.matrix, n) @ vec(x)
-    return unvec(out, superop.dim)
-
-
-def _exp_apply(superop, x, t):
-    out = scipy.linalg.expm(t * superop.matrix) @ vec(x)
-    return unvec(out, superop.dim)
-
-
-def _evolve(superop, model, x, t, n, tol):
-    x = np.asarray(x, dtype=complex)
-    hermitian_in = spectral_norm(x - dagger(x)) <= tol.alg_tol
+def _propagator(superop, model, t=None, n=None):
+    """Matrix of the evolution over time t (continuous models, the
+    exponential of the generator) or n steps (discrete, the n-th power)."""
     if model.kind == KIND_LINDBLAD:
         if t is None:
             raise StructuralError("continuous-time model: pass t")
         if t < 0:
             raise StructuralError("negative time")
-        out = _exp_apply(superop, x, float(t))
-    else:
-        if n is None:
-            raise StructuralError("discrete-time model: pass n")
-        if n != int(n) or n < 0:
-            raise StructuralError("negative time")
-        out = _n_fold(superop, x, int(n))
+        return scipy.linalg.expm(float(t) * superop.matrix)
+    if n is None:
+        raise StructuralError("discrete-time model: pass n")
+    if n != int(n) or n < 0:
+        raise StructuralError("negative time")
+    return np.linalg.matrix_power(superop.matrix, int(n))
+
+
+def _evolve(superop, model, x, t, n, tol):
+    x = np.asarray(x, dtype=complex)
+    hermitian_in = spectral_norm(x - dagger(x)) <= tol.alg_tol
+    out = unvec(_propagator(superop, model, t, n) @ vec(x), superop.dim)
     return hermitize(out) if hermitian_in else out
 
 
@@ -281,9 +286,10 @@ def evolve_predual(model, rho, t=None, n=None, tol=DEFAULT_TOL):
 def _horizon(data, tol):
     """Time horizon after which sub-peripheral modes are negligible.
 
-    Returns (kind, value, predicted_leftover): the horizon is chosen so
-    that the predicted truncation sits two decades below ``conv_tol`` and
-    is capped at 1e6 steps / time units.
+    Returns (kind, value, predicted_leftover), kind being the keyword
+    ("n" or "t") that passes value to the evolution.  The horizon is
+    chosen so that the predicted truncation sits two decades below
+    ``conv_tol`` and is capped at 1e6 steps / time units.
     """
     target = tol.conv_tol / 100.0
     ext = data.subperipheral_extreme()
@@ -330,10 +336,7 @@ def asymptotic_operator(model, p, tol=DEFAULT_TOL):
     y = hermitize(y)
 
     kind, value, leftover = _horizon(data, tol)
-    if kind == "n":
-        y_dyn = evolve_heisenberg(model, p_mat, n=value, tol=tol)
-    else:
-        y_dyn = evolve_heisenberg(model, p_mat, t=value, tol=tol)
+    y_dyn = evolve_heisenberg(model, p_mat, tol=tol, **{kind: value})
     cross_tol = max(tol.conv_tol, 10.0 * leftover)
     disagreement = spectral_norm(y - y_dyn)
     if disagreement > cross_tol:

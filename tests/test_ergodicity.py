@@ -3,12 +3,13 @@ import pytest
 
 from qds.ergodicity import (
     DensityMatrix, ergodicity_reduction_equivalence, invariant_states,
-    is_positive_recurrent, strong_ergodicity_check, support_projection,
+    strong_ergodicity_check, support_projection,
 )
 from qds.errors import StructuralError
 from qds.models import predual_superoperator, apply_map
 from qds.projections import is_subharmonic
 from qds.rand import random_kraus_model
+from qds.resolution import classify_projection, resolve
 from qds.spectral import evolve_predual
 
 from conftest import SQ5, trace_distance_oracle
@@ -73,28 +74,31 @@ class TestSupportProjection:
 
 class TestPositiveRecurrence:
     def test_damping_ground_corner(self, amplitude_damping):
-        assert is_positive_recurrent(amplitude_damping, np.diag([1.0, 0.0]))
+        assert classify_projection(
+            amplitude_damping, np.diag([1.0, 0.0])).label == "positive_recurrent"
 
     def test_absorbing_state(self, absorbing_chain):
-        assert is_positive_recurrent(absorbing_chain,
-                                     np.diag([0.0, 0.0, 1.0]))
+        assert classify_projection(
+            absorbing_chain,
+            np.diag([0.0, 0.0, 1.0])).label == "positive_recurrent"
 
     def test_identity_channel_pure_states(self, identity_channel):
         rng = np.random.default_rng(4)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v /= np.linalg.norm(v)
-        assert is_positive_recurrent(identity_channel, np.outer(v, v.conj()))
+        assert classify_projection(
+            identity_channel,
+            np.outer(v, v.conj())).label == "positive_recurrent"
 
     def test_non_minimal_rejected(self, amplitude_damping):
-        with pytest.raises(StructuralError, match="minimal"):
-            is_positive_recurrent(amplitude_damping, np.eye(2))
+        assert classify_projection(
+            amplitude_damping, np.eye(2)).label == "subharmonic_nonminimal"
 
     def test_resolve_output_is_positive_recurrent(self, absorbing_chain):
-        from qds.resolution import resolve
-
         res = resolve(absorbing_chain, seed=3)
         for p in res.recurrent_projections:
-            assert is_positive_recurrent(absorbing_chain, p)
+            assert classify_projection(
+                absorbing_chain, p).label == "positive_recurrent"
 
 
 class TestStrongErgodicity:

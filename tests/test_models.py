@@ -7,7 +7,10 @@ from qds.models import (
     heisenberg_superoperator, kraus_model, lindblad_model, predual_superoperator,
     stochastic_model, validate_model,
 )
-from qds.rand import random_density_matrix, random_hermitian, random_kraus_model
+from qds.rand import (
+    random_density_matrix, random_hermitian, random_kraus_model,
+    random_lindblad_model, random_stochastic_matrix,
+)
 
 from conftest import dag, kraus_heisenberg_oracle, kraus_predual_oracle
 
@@ -170,6 +173,11 @@ class TestTraceDuality:
         models = [random_kraus_model(rng, int(rng.integers(2, 5)),
                                      int(rng.integers(1, 4)))
                   for _ in range(5)]
+        models += [random_lindblad_model(rng, int(rng.integers(2, 5)),
+                                         int(rng.integers(0, 3)))
+                   for _ in range(5)]
+        models += [stochastic_model(random_stochastic_matrix(
+                       rng, int(rng.integers(2, 6)))) for _ in range(5)]
         for model in models:
             sh = heisenberg_superoperator(model)
             sp = predual_superoperator(model)

@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qds.ergodicity import invariant_states
+from qds._linalg import unvec, vec
+from qds.ergodicity import _predual_ergodic_state, invariant_states
 from qds.errors import ConvergenceError, StructuralError
 from qds.models import (
-    Superoperator, heisenberg_superoperator, lindblad_model,
+    DEFAULT_TOL, Superoperator, heisenberg_superoperator, lindblad_model,
     predual_superoperator, stochastic_model,
 )
 from qds.projections import Projection
 from qds.rand import (
+    random_block_diagonal_kraus, random_block_diagonal_lindblad,
     random_hermitian, random_kraus_model,
-    random_kraus_with_invariant_subspace,
+    random_kraus_with_invariant_subspace, random_lindblad_model,
+    random_stochastic_matrix, structured_stochastic_matrix,
 )
 from qds.resolution import resolve
 from qds.spectral import (
@@ -165,6 +168,34 @@ def test_cluster_indices_match_the_search():
             assert np.array_equal(a, b)
 
 
+def _assert_predual_state_matches(model):
+    """The invariant state read off the Heisenberg split through E^+ must
+    match the one from a direct split of the predual matrix."""
+    d = model.dim
+    got = _predual_ergodic_state(
+        spectral_split(heisenberg_superoperator(model)), d, DEFAULT_TOL)
+    data = spectral_split(predual_superoperator(model))
+    want = unvec(data.apply_ergodic(vec(np.eye(d) / d)), d)
+    want = 0.5 * (want + dag(want))
+    want = want / np.trace(want).real
+    assert np.linalg.norm(got - want, 2) <= 1e-12
+
+
+def test_predual_state_from_heisenberg_split_random_models():
+    rng = np.random.default_rng(21)
+    models = []
+    for _ in range(4):
+        models.append(random_kraus_model(rng, int(rng.integers(2, 5))))
+        models.append(random_block_diagonal_kraus(rng, [2, 2]))
+        models.append(random_lindblad_model(rng, int(rng.integers(2, 5))))
+        models.append(random_block_diagonal_lindblad(rng, [2, 1]))
+        models.append(stochastic_model(random_stochastic_matrix(
+            rng, int(rng.integers(2, 7)))))
+        models.append(stochastic_model(structured_stochastic_matrix(rng, 6)))
+    for model in models:
+        _assert_predual_state_matches(model)
+
+
 @pytest.mark.parametrize("seed", sorted(EIGENBASIS_CHAINS))
 class TestDegenerateChains:
     def test_ergodic_projection_is_spectral(self, seed):
@@ -176,6 +207,10 @@ class TestDegenerateChains:
             assert np.linalg.norm(e @ e - e, 2) <= 1e-10
             assert np.linalg.norm(s.matrix @ e - e, 2) <= 1e-10
             assert np.linalg.norm(e @ s.matrix - e, 2) <= 1e-10
+
+    def test_predual_state_from_heisenberg_split(self, seed):
+        model = stochastic_model(np.array(EIGENBASIS_CHAINS[seed]))
+        _assert_predual_state_matches(model)
 
     def test_resolves_with_invariant_states(self, seed):
         model = stochastic_model(np.array(EIGENBASIS_CHAINS[seed]))
