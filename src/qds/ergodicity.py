@@ -20,13 +20,12 @@ from ._linalg import (
 )
 from .errors import ConvergenceError, CrossCheckError, StructuralError
 from .models import (
-    DEFAULT_SEED, DEFAULT_TOL, DISCRETE_STEP, heisenberg_superoperator,
-    predual_superoperator,
+    DEFAULT_SEED, DEFAULT_TOL, DISCRETE_STEP, predual_superoperator,
 )
 from .projections import (
     Projection, is_subharmonic, projection_basis, range_projection, reduce_model,
 )
-from .spectral import _horizon, _propagator, spectral_split
+from .spectral import _derived
 
 __all__ = [
     "DensityMatrix", "InvariantStates", "ErgodicityReport",
@@ -114,7 +113,7 @@ def corner_invariant_state(model, p, tol=DEFAULT_TOL):
     """
     p_obj = p if isinstance(p, Projection) else Projection.from_matrix(p, tol)
     reduced = reduce_model(model, p_obj, tol)
-    data = spectral_split(heisenberg_superoperator(reduced, tol), tol)
+    data = _derived(reduced, tol).split
     rho_corner = _predual_ergodic_state(data, reduced.dim, tol)
     support_rank = range_projection(rho_corner, tol).rank
     if model.kind == "stochastic":
@@ -176,9 +175,11 @@ def strong_ergodicity_check(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     sit on the peripheral boundary (the same for the Heisenberg matrix and
     its conjugate transpose, the predual).  The verdict is verified
     dynamically by evolving five random pure states to the spectral
-    horizon with one predual propagator; a disagreement raises.
+    horizon with one predual propagator, the adjoint of the model's
+    Heisenberg horizon propagator; a disagreement raises.
     """
-    data = spectral_split(heisenberg_superoperator(model, tol), tol)
+    rec = _derived(model, tol)
+    data = rec.split
     simple = int(data.multiplicities[data.ergodic_index]) == 1
     alone = tuple(data.peripheral) == (data.ergodic_index,)
     holds = simple and alone
@@ -188,9 +189,8 @@ def strong_ergodicity_check(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     if holds:
         phi0 = DensityMatrix.from_matrix(
             _predual_ergodic_state(data, model.dim, tol), tol)
-        kind, value, leftover = _horizon(data, tol)
-        prop = _propagator(predual_superoperator(model, tol), model,
-                           **{kind: value})
+        prop, leftover = rec.horizon
+        prop = dagger(prop)
         rng = np.random.default_rng(seed_sequence(seed))
         gate = max(tol.alg_tol, 100.0 * leftover)
         d = model.dim

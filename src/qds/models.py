@@ -170,8 +170,8 @@ class QuantumModel:
         return [(f"K{k + 1}", op) for k, op in enumerate(ops)]
 
     def content_hash(self):
-        """Hex digest identifying the model contents (used for caching
-        and for report provenance)."""
+        """Hex digest identifying the model contents (report
+        provenance)."""
         import hashlib
 
         h = hashlib.sha256()

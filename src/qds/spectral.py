@@ -10,12 +10,14 @@ The ergodic projection is built from the two kernels of S - lambda_0
 alone, never from an inverse of the full eigenvector matrix: an embedded
 classical chain has a zero eigenvalue of multiplicity about d^2 - d, and
 an eigenbasis inverse then loses the kernel of the projection.
+
+Matrices derived from a model are formed once per (model, tolerances)
+pair, on first use, in a record kept on the model (:func:`_derived`).
 """
 
-import hashlib
 import math
-import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +25,7 @@ import scipy.linalg
 from ._linalg import dagger, hermitize, spectral_norm, unvec, vec
 from .errors import ConvergenceError, CrossCheckError, StructuralError
 from .models import (
-    DEFAULT_TOL, DISCRETE_STEP, KIND_LINDBLAD, apply_map,
+    DEFAULT_TOL, DISCRETE_STEP, KIND_LINDBLAD, _freeze,
     heisenberg_superoperator, predual_superoperator,
 )
 
@@ -146,11 +148,6 @@ def _schur_cluster_projection(matrix, in_cluster):
     return z @ block @ dagger(z)
 
 
-_SPLIT_CACHE: dict = {}
-_SPLIT_LOCK = threading.Lock()
-_SPLIT_CACHE_MAX = 16
-
-
 def spectral_split(superop, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
     """Clustered spectrum and ergodic projection of a superoperator.
 
@@ -160,24 +157,9 @@ def spectral_split(superop, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
     non-defective.  Its spectral projection E = R (L^+ R)^-1 L^+ comes
     from one SVD of S - lambda_0, whose last k right and left singular
     vectors (k the cluster size) span the two kernels; E must pass
-    idempotency and left/right invariance checks.  Results are cached per
-    matrix contents; reads are lock-protected so concurrent use is safe.
+    idempotency and left/right invariance checks.  Not cached: the split
+    of a model's own superoperator is kept on the model (:func:`_derived`).
     """
-    key = (hashlib.sha256(np.ascontiguousarray(superop.matrix).tobytes()).hexdigest(),
-           superop.time_kind, float(tol.rank_tol), float(tol.alg_tol),
-           float(cluster_tol))
-    with _SPLIT_LOCK:
-        if key in _SPLIT_CACHE:
-            return _SPLIT_CACHE[key]
-    data = _spectral_split_impl(superop, tol, cluster_tol)
-    with _SPLIT_LOCK:
-        if len(_SPLIT_CACHE) >= _SPLIT_CACHE_MAX:
-            _SPLIT_CACHE.pop(next(iter(_SPLIT_CACHE)))
-        _SPLIT_CACHE[key] = data
-    return data
-
-
-def _spectral_split_impl(superop, tol, cluster_tol):
     m = superop.matrix
     n = m.shape[0]
     w = np.linalg.eig(m)[0]
@@ -265,22 +247,25 @@ def _propagator(superop, model, t=None, n=None):
     return np.linalg.matrix_power(superop.matrix, int(n))
 
 
-def _evolve(superop, model, x, t, n, tol):
+def _apply(prop, x, dim, tol):
+    """Devectorized prop vec(x), re-hermitized when x is hermitian."""
     x = np.asarray(x, dtype=complex)
     hermitian_in = spectral_norm(x - dagger(x)) <= tol.alg_tol
-    out = unvec(_propagator(superop, model, t, n) @ vec(x), superop.dim)
+    out = unvec(prop @ vec(x), dim)
     return hermitize(out) if hermitian_in else out
 
 
 def evolve_heisenberg(model, x, t=None, n=None, tol=DEFAULT_TOL):
     """tau_t(x) (continuous, via the exponential of the generator matrix)
     or tau^n(x) (discrete, n-fold application)."""
-    return _evolve(heisenberg_superoperator(model, tol), model, x, t, n, tol)
+    s = heisenberg_superoperator(model, tol)
+    return _apply(_propagator(s, model, t, n), x, model.dim, tol)
 
 
 def evolve_predual(model, rho, t=None, n=None, tol=DEFAULT_TOL):
     """Schrodinger-picture evolution of a state."""
-    return _evolve(predual_superoperator(model, tol), model, rho, t, n, tol)
+    s = predual_superoperator(model, tol)
+    return _apply(_propagator(s, model, t, n), rho, model.dim, tol)
 
 
 def _horizon(data, tol):
@@ -308,6 +293,47 @@ def _horizon(data, tol):
     return "t", t, math.exp(-gap * t)
 
 
+class _Derived:
+    """Heisenberg superoperator S of one (model, tolerances) pair, its
+    split, and its one-step and horizon propagators, each formed on first
+    use."""
+
+    def __init__(self, model, tol):
+        self.model, self.tol = model, tol
+
+    @cached_property
+    def superop(self):
+        return heisenberg_superoperator(self.model, self.tol)
+
+    @cached_property
+    def split(self):
+        return spectral_split(self.superop, self.tol)
+
+    @cached_property
+    def step(self):
+        """S (discrete) or expm(dt S) with dt = 1/(1+||S||) (continuous)."""
+        s = self.superop
+        if s.time_kind == DISCRETE_STEP:
+            return s.matrix
+        dt = 1.0 / (1.0 + spectral_norm(s.matrix))
+        return _freeze(_propagator(s, self.model, t=dt))
+
+    @cached_property
+    def horizon(self):
+        """(propagator to the horizon of the split, predicted leftover)."""
+        kind, value, leftover = _horizon(self.split, self.tol)
+        prop = _propagator(self.superop, self.model, **{kind: value})
+        return _freeze(prop), leftover
+
+
+def _derived(model, tol):
+    """The record of (model, tol), kept in the frozen model's own
+    ``__dict__`` so that it dies with the model.  A concurrent first use
+    at worst forms an entry twice."""
+    records = vars(model).setdefault("_derived", {})
+    return records.setdefault(tol, _Derived(model, tol))
+
+
 def asymptotic_operator(model, p, tol=DEFAULT_TOL):
     """Limit operator y = lim_t tau_t(p) for a sub-harmonic projection p.
 
@@ -330,13 +356,11 @@ def asymptotic_operator(model, p, tol=DEFAULT_TOL):
             "projection is not sub-harmonic: the limit is not monotone and "
             f"y is undefined (residual {verdict.residual:.3g})")
 
-    s = heisenberg_superoperator(model, tol)
-    data = spectral_split(s, tol)
-    y = unvec(data.apply_ergodic(vec(p_mat)), model.dim)
-    y = hermitize(y)
+    rec = _derived(model, tol)
+    y = hermitize(unvec(rec.split.apply_ergodic(vec(p_mat)), model.dim))
 
-    kind, value, leftover = _horizon(data, tol)
-    y_dyn = evolve_heisenberg(model, p_mat, tol=tol, **{kind: value})
+    prop, leftover = rec.horizon
+    y_dyn = _apply(prop, p_mat, model.dim, tol)
     cross_tol = max(tol.conv_tol, 10.0 * leftover)
     disagreement = spectral_norm(y - y_dyn)
     if disagreement > cross_tol:
@@ -368,8 +392,4 @@ def _check_limit_contract(model, p_mat, y, tol):
 def _step_map(model, x, tol):
     """One comparison step of the dynamics: a single application for
     discrete models, time 1/(1+||L||) for continuous ones."""
-    s = heisenberg_superoperator(model, tol)
-    if s.time_kind == DISCRETE_STEP:
-        return apply_map(s, x, tol)
-    dt = 1.0 / (1.0 + spectral_norm(s.matrix))
-    return _evolve(s, model, x, dt, None, tol)
+    return _apply(_derived(model, tol).step, x, model.dim, tol)

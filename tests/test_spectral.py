@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import pathlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from qds._linalg import unvec, vec
 from qds.ergodicity import _predual_ergodic_state, invariant_states
 from qds.errors import ConvergenceError, StructuralError
 from qds.models import (
-    DEFAULT_TOL, Superoperator, heisenberg_superoperator, lindblad_model,
-    predual_superoperator, stochastic_model,
+    DEFAULT_TOL, Superoperator, Tolerances, heisenberg_superoperator,
+    lindblad_model, predual_superoperator, stochastic_model,
 )
 from qds.projections import Projection
 from qds.rand import (
@@ -22,8 +24,9 @@ from qds.rand import (
 )
 from qds.resolution import resolve
 from qds.spectral import (
-    _check_ergodic_projection, _cluster_indices, asymptotic_operator,
-    evolve_heisenberg, evolve_predual, spectral_split,
+    _check_ergodic_projection, _cluster_indices, _derived, _horizon,
+    _propagator, asymptotic_operator, evolve_heisenberg, evolve_predual,
+    spectral_split,
 )
 
 from conftest import (
@@ -327,3 +330,100 @@ class TestAsymptoticOperator:
         # conversely: a vector annihilated along the orbit lies in ker y
         z = kernel[:, 0]
         assert np.linalg.norm(y @ z) <= 1e-9
+
+
+def _memo_models(rng):
+    return [random_block_diagonal_kraus(rng, [2, 2]),
+            random_kraus_model(rng, 3),
+            random_block_diagonal_lindblad(rng, [2, 1]),
+            random_lindblad_model(rng, 3),
+            stochastic_model(structured_stochastic_matrix(rng, 5))]
+
+
+class TestDerivedMemo:
+    """The record of derived matrices kept per (model, tolerances)."""
+
+    def test_one_record_per_model_and_tolerances(self):
+        model = random_block_diagonal_lindblad(np.random.default_rng(3), [2, 1])
+        rec = _derived(model, DEFAULT_TOL)
+        assert rec.horizon[0].shape == rec.step.shape
+        assert _derived(model, Tolerances()) is rec
+        loose = _derived(model, Tolerances(alg_tol=1e-7))
+        copy = _derived(dataclasses.replace(model), DEFAULT_TOL)
+        for other in (loose, copy):
+            assert other is not rec
+            # nothing formed yet: no entry is shared with ``rec``
+            assert set(vars(other)) == {"model", "tol"}
+        assert {"superop", "split", "step", "horizon"} <= set(vars(rec))
+
+    def test_cached_propagators_equal_fresh_ones(self):
+        for model in _memo_models(np.random.default_rng(4)):
+            rec = _derived(model, DEFAULT_TOL)
+            s = heisenberg_superoperator(model)
+            kind, value, leftover = _horizon(spectral_split(s), DEFAULT_TOL)
+            fresh = _propagator(s, model, **{kind: value})
+            assert np.array_equal(rec.horizon[0], fresh)
+            assert rec.horizon[1] == leftover
+            # shared by every caller, so read-only
+            assert not rec.horizon[0].flags.writeable
+            assert not rec.step.flags.writeable
+            if model.kind == "lindblad":
+                dt = 1.0 / (1.0 + np.linalg.norm(s.matrix, 2))
+                assert np.array_equal(rec.step, _propagator(s, model, t=dt))
+            else:
+                assert np.array_equal(rec.step, s.matrix)
+            # the adjoint serves as the predual horizon propagator
+            predual = _propagator(predual_superoperator(model), model,
+                                  **{kind: value})
+            assert np.linalg.norm(dag(rec.horizon[0]) - predual, 2) <= 1e-12
+
+    def test_second_resolve_forms_nothing_new(self, monkeypatch):
+        model = random_block_diagonal_lindblad(np.random.default_rng(5), [2, 2])
+        n = model.dim ** 2
+        calls = []
+        for module, name in ((np.linalg, "eig"), (scipy.linalg, "expm")):
+            def counting(a, *args, _real=getattr(module, name), _name=name,
+                         **kwargs):
+                if np.shape(a)[0] == n:
+                    calls.append(_name)
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        first = resolve(model)
+        assert {"eig", "expm"} <= set(calls)
+        calls.clear()
+        second = resolve(model)
+        assert calls == []
+        assert np.array_equal(first.y_total, second.y_total)
+
+    def test_threads_resolving_one_model_agree(self):
+        model = random_block_diagonal_kraus(np.random.default_rng(6), [2, 2])
+        want = resolve(dataclasses.replace(model))
+        results = [None] * 4
+
+        def work(i):
+            try:
+                results[i] = resolve(model)
+            except Exception as exc:  # reported by the assertions below
+                results[i] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for res in results:
+            assert not isinstance(res, Exception), res
+            assert np.array_equal(res.y_total, want.y_total)
+            assert [p.rank for p in res.recurrent_projections] == \
+                [p.rank for p in want.recurrent_projections]
+            for got, ref in zip(res.recurrent_projections,
+                                want.recurrent_projections):
+                assert np.array_equal(got.matrix, ref.matrix)
+        assert len(vars(model)["_derived"]) == 1
