@@ -19,9 +19,7 @@ from ._linalg import (
     dagger, hermitize, seed_sequence, spectral_norm, trace_norm, unvec, vec,
 )
 from .errors import ConvergenceError, CrossCheckError, StructuralError
-from .models import (
-    DEFAULT_SEED, DEFAULT_TOL, DISCRETE_STEP, predual_superoperator,
-)
+from .models import DEFAULT_SEED, DEFAULT_TOL, DISCRETE_STEP
 from .projections import (
     Projection, is_subharmonic, projection_basis, range_projection, reduce_model,
 )
@@ -126,27 +124,48 @@ def corner_invariant_state(model, p, tol=DEFAULT_TOL):
     return hermitize(rho_full), support_rank
 
 
+def _hermitian_fixed_basis(columns, d, tol):
+    """Orthonormal hermitian basis of the span of vectorized d x d
+    matrices (the columns), a span closed under the adjoint."""
+    herms = []
+    for col in columns.T:
+        m = unvec(col, d)
+        herms.append(hermitize(m))
+        herms.append(hermitize(1j * m))
+    stacked = np.stack([np.concatenate([vec(h).real, vec(h).imag])
+                        for h in herms], axis=1)
+    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+    rank = int(np.sum(s > max(tol.rank_tol * s[0], 1e-12)))
+    basis = []
+    for k in range(rank):
+        re = u[: d * d, k]
+        im = u[d * d:, k]
+        basis.append(hermitize(unvec(re + 1j * im, d)))
+    return basis
+
+
 def invariant_states(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     """Basis of the predual fixed-point space plus extremal invariant
     states (one per recurrent projection of the seeded resolution).
 
-    Each state is the one :func:`classify_projection` certified for its
-    recurrent projection inside :func:`resolve`; it is checked here for
-    invariance and for a sub-harmonic support."""
-    from .resolution import _hermitian_fixed_basis, resolve
+    The fixed points of the predual are the left kernel of S - lambda_0,
+    which the Heisenberg split already holds as the adjoint of its ergodic
+    rows.  Each state is the one :func:`classify_projection` certified for
+    its recurrent projection inside :func:`resolve`; it is checked here
+    for invariance under the predual, the adjoint of S, and for a
+    sub-harmonic support."""
+    from .resolution import resolve
 
-    s = predual_superoperator(model, tol)
-    basis = _hermitian_fixed_basis(s, tol)
-    if not basis:
-        raise ConvergenceError(
-            "empty predual fixed-point space; impossible for a unital "
-            "finite-dimensional model")
+    d = model.dim
+    rec = _derived(model, tol)
+    basis = _hermitian_fixed_basis(dagger(rec.split.ergodic_rows), d, tol)
 
     res = resolve(model, seed=seed, tol=tol)
+    s = rec.superop
     states = []
     for cls in res.certificates:
         rho = cls.certificate.invariant_state
-        image = unvec(s.matrix @ vec(rho), model.dim)
+        image = unvec(dagger(s.matrix) @ vec(rho), d)
         if s.time_kind == DISCRETE_STEP:
             image = image - rho
         resid = spectral_norm(image)
@@ -222,7 +241,10 @@ def ergodicity_reduction_equivalence(model, p, tol=DEFAULT_TOL,
         raise StructuralError(
             "p must be the support of an invariant state; it is not even "
             f"sub-harmonic (residual {verdict.residual:.3g})")
-    _, support_rank = corner_invariant_state(model, p_obj, tol)
+    reduced_model = reduce_model(model, p_obj, tol)
+    rho = _predual_ergodic_state(_derived(reduced_model, tol).split,
+                                 reduced_model.dim, tol)
+    support_rank = range_projection(rho, tol).rank
     if support_rank != p_obj.rank:
         raise StructuralError(
             "p is not the support of an invariant state (maximal invariant "
@@ -230,7 +252,6 @@ def ergodicity_reduction_equivalence(model, p, tol=DEFAULT_TOL,
             f"{p_obj.rank})")
 
     full = strong_ergodicity_check(model, tol, seed).holds
-    reduced_model = reduce_model(model, p_obj, tol)
     reduced = strong_ergodicity_check(reduced_model, tol, seed).holds
     y_is_one = is_transient_complement(model, p_obj, tol).transient
     consistent = (not y_is_one) or (full == reduced)

@@ -8,8 +8,8 @@ import numpy as np
 from ._linalg import dagger, hermitize, min_eig, spectral_norm
 from .errors import CrossCheckError, StructuralError
 from .models import (
-    DEFAULT_TOL, KIND_KRAUS, KIND_LINDBLAD, KIND_STOCHASTIC, QuantumModel,
-    lindblad_model, kraus_model, stochastic_model,
+    DEFAULT_TOL, DISCRETE_STEP, KIND_KRAUS, KIND_LINDBLAD, KIND_STOCHASTIC,
+    QuantumModel, apply_map, stochastic_model,
 )
 
 __all__ = ["Projection", "SubharmonicVerdict", "is_subharmonic",
@@ -148,15 +148,14 @@ def is_subharmonic(model, p, tol=DEFAULT_TOL):
 def is_harmonic(model, p, tol=DEFAULT_TOL):
     """True iff the projection is fixed by the dynamics:
     one step reproduces p (discrete) or the generator annihilates p."""
+    from .spectral import _derived
+
     p_mat = _as_projection_matrix(p, tol)
-    if model.kind == KIND_LINDBLAD:
-        from .models import apply_map, heisenberg_superoperator
-
-        image = apply_map(heisenberg_superoperator(model, tol), p_mat, tol)
-        return spectral_norm(image) <= tol.alg_tol
-    from .spectral import _step_map
-
-    return spectral_norm(_step_map(model, p_mat, tol) - p_mat) <= tol.alg_tol
+    s = _derived(model, tol).superop
+    image = apply_map(s, p_mat, tol)
+    if s.time_kind == DISCRETE_STEP:
+        image = image - p_mat
+    return spectral_norm(image) <= tol.alg_tol
 
 
 def range_projection(x, tol=DEFAULT_TOL):
@@ -189,7 +188,8 @@ def reduce_model(model, p, tol=DEFAULT_TOL, allow_sub_markov=False):
     Markov semigroup on the corner, and the reduced model is again unital.
     Non-sub-harmonic compressions are refused unless ``allow_sub_markov``
     is set, in which case a sub-stochastic / sub-unital model is returned
-    carrying the ``sub_markov`` flag.
+    carrying the ``sub_markov`` flag.  The corner of the whole space is
+    the model itself, so its derived matrices are shared.
     """
     p_obj = p if isinstance(p, Projection) else Projection.from_matrix(p, tol)
     if p_obj.rank == 0:
@@ -201,6 +201,8 @@ def reduce_model(model, p, tol=DEFAULT_TOL, allow_sub_markov=False):
             f"(residual {sub.residual:.3g}); pass allow_sub_markov=True for "
             "an explicit sub-stochastic compression")
     flag = not sub.verdict
+    if p_obj.rank == model.dim and not flag and not model.sub_markov:
+        return model
 
     if model.kind == KIND_STOCHASTIC:
         support = sorted(p_obj.diagonal_support())

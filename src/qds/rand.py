@@ -1,7 +1,7 @@
 """Seeded random generators for models, states, and projections.
 
-Used by the test-suite for property checks and by the irreducibility
-search; every function takes a ``numpy.random.Generator``.
+Used by the test-suite for property checks and by the benchmark's
+workloads; every function takes a ``numpy.random.Generator``.
 """
 
 import numpy as np

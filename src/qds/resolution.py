@@ -9,24 +9,22 @@ whose limit operator is injective.
 
 Also provided: reachability closures (the adjoint-orbit criterion for
 injectivity of y), transience certificates, projection classification,
-and irreducibility via either the commutant of the operator family or a
-seeded search for harmonic projections.
+and irreducibility via the commutant of the generator family, whose
+projections are exactly the harmonic ones.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import (
-    dagger, hermitize, invariant_closure, seed_sequence, spectral_norm,
-    unvec, vec,
+    dagger, hermitize, invariant_closure, seed_sequence, spectral_norm, unvec,
 )
 from .errors import ConvergenceError, CrossCheckError, StructuralError
-from .models import (
-    DEFAULT_SEED, DEFAULT_TOL, DISCRETE_STEP, KIND_LINDBLAD, KIND_STOCHASTIC,
-    heisenberg_superoperator,
-)
+from .models import DEFAULT_SEED, DEFAULT_TOL, KIND_STOCHASTIC
+# Kept importable as ``qds.resolution.heisenberg_superoperator``: the
+# benchmark's tracing test calls it through this module.
+from .models import heisenberg_superoperator  # noqa: F401
 from .projections import Projection, is_subharmonic, projection_basis, range_projection
 from .spectral import asymptotic_operator
 
@@ -402,109 +400,67 @@ def _cross_check_classical(model, result, tol):
             f"{detail['transient_states']}")
 
 
-def commutant_dimension(model, tol=DEFAULT_TOL):
-    """Dimension of the commutant of the self-adjoint operator family of a
-    lindblad model: solutions of [x, H] = 0 and [x, L_k] = [x, L_k^+] = 0.
-
-    Dimension one (scalars only) is equivalent to the absence of a
-    non-trivial harmonic projection.
-    """
-    if model.kind != KIND_LINDBLAD:
-        raise StructuralError("commutant criterion applies to lindblad models")
+def _commutant_basis(model, tol):
+    """Orthonormal columns spanning the vectorized commutant of the
+    generator family and its adjoints: the x with [x, G] = [x, G^+] = 0
+    for every generator G."""
     d = model.dim
-    family = [model.hamiltonian]
-    for l in model.lindblad_ops:
-        family.append(l)
-        family.append(dagger(l))
     eye = np.eye(d)
-    blocks = [np.kron(g.T, eye) - np.kron(eye, g) for g in family]
-    stacked = np.vstack(blocks)
-    s = np.linalg.svd(stacked, compute_uv=False)  # length d^2
+    # The equations of one generator at a time are folded into a square
+    # triangular factor with the same singular values, so memory stays
+    # O(d^4) however long the family is (an embedded chain has one
+    # generator per edge).
+    r = np.zeros((0, d * d), dtype=complex)
+    for g in _generator_ops(model):
+        eqs = [np.kron(h.T, eye) - np.kron(eye, h) for h in (g, dagger(g))]
+        r = np.linalg.qr(np.vstack([r, *eqs]), mode="r")
+    _, s, vh = np.linalg.svd(r)
     scale = s[0] if s[0] > 0 else 1.0
-    return int(np.sum(s <= max(tol.rank_tol * scale, 1e-12)))
+    dim = int(np.sum(s <= max(tol.rank_tol * scale, 1e-12)))
+    return dagger(vh[d * d - dim:])
 
 
-def _hermitian_fixed_basis(superop, tol):
-    """Orthonormal hermitian basis of the fixed-point space of a map
-    (eigenvalue 1 of a step, kernel of a generator)."""
-    n = superop.matrix.shape[0]
-    d = superop.dim
-    target = superop.matrix - (np.eye(n) if superop.time_kind == DISCRETE_STEP
-                               else 0.0)
-    null = scipy.linalg.null_space(target, rcond=max(tol.rank_tol, 1e-12))
-    herms = []
-    for col in null.T:
-        m = unvec(col, d)
-        herms.append(hermitize(m))
-        herms.append(hermitize(1j * m))
-    if not herms:
-        return []
-    stacked = np.stack([np.concatenate([vec(h).real, vec(h).imag])
-                        for h in herms], axis=1)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(s > max(tol.rank_tol * s[0], 1e-12))) if s.size else 0
-    basis = []
-    for k in range(rank):
-        re = u[: d * d, k]
-        im = u[d * d:, k]
-        basis.append(hermitize(unvec(re + 1j * im, d)))
-    return basis
+def commutant_dimension(model, tol=DEFAULT_TOL):
+    """Dimension of the commutant of the generator family and its adjoints
+    (Kraus operators, or drift and jump operators).
+
+    For a unital semigroup a projection p is harmonic iff it commutes with
+    every generator: tau(p) = p forces sum |(1-p) G p|^2 = 0 and
+    sum |p G (1-p)|^2 = 0.  The commutant is a *-algebra, so dimension one
+    (scalars only) is equivalent to the absence of a non-trivial harmonic
+    projection.
+    """
+    return _commutant_basis(model, tol).shape[1]
 
 
 def find_harmonic_projection(model, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
-    """Seeded search for a non-trivial harmonic projection.
+    """A non-trivial harmonic projection, or None when there is none.
 
-    Candidates are spectral cuts of generic hermitian fixed points of the
-    Heisenberg map plus the projections produced by :func:`resolve` and
-    their partial sums; each candidate's limit operator must equal the
-    candidate itself (checked via one evolution step).  Returns a witness
-    or None.  The search is probabilistic but exhausts the fixed-point
-    algebra whenever one exists.
+    The harmonic projections are the projections of the commutant (see
+    :func:`commutant_dimension`); the spectral projection onto the top
+    eigenvalue of a seeded generic hermitian element of it is one unless
+    the commutant holds only the scalars.  The witness must also pass
+    :func:`is_harmonic`, which applies the dynamics itself.
     """
     from .projections import is_harmonic
 
-    d = model.dim
-    s = heisenberg_superoperator(model, tol)
-    herm_basis = _hermitian_fixed_basis(s, tol)
-    if len(herm_basis) <= 1:
+    basis = _commutant_basis(model, tol)
+    if basis.shape[1] <= 1:
         return None
-
     rng = np.random.default_rng(seed_sequence(seed))
-    candidates = []
-
-    for _ in range(4):
-        coeffs = rng.standard_normal(len(herm_basis))
-        g = sum(c * h for c, h in zip(coeffs, herm_basis))
-        vals, vecs = np.linalg.eigh(g)
-        # every spectral cut between separated eigenvalues
-        for cut in range(1, d):
-            if vals[cut] - vals[cut - 1] <= 1e-8:
-                continue
-            candidates.append(Projection.from_basis(vecs[:, cut:]))
-
-    try:
-        res = resolve(model, seed=seed, tol=tol)
-        parts = list(res.recurrent_projections)
-        if 0 < len(parts) <= 10:
-            for mask in range(1, 2 ** len(parts)):
-                acc = sum(parts[i].matrix for i in range(len(parts))
-                          if mask & (1 << i))
-                candidates.append(Projection.from_matrix(acc, tol))
-    except (CrossCheckError, ConvergenceError):
-        pass
-
-    for cand in candidates:
-        if 0 < cand.rank < d and is_harmonic(model, cand, tol):
-            return cand
-    return None
+    coeffs = (rng.standard_normal(basis.shape[1])
+              + 1j * rng.standard_normal(basis.shape[1]))
+    vals, vecs = np.linalg.eigh(hermitize(unvec(basis @ coeffs, model.dim)))
+    # an element of a block M_n (x) 1_m repeats each eigenvalue m times,
+    # up to round-off
+    witness = Projection.from_basis(vecs[:, vals >= vals[-1] - 1e-8])
+    if not is_harmonic(model, witness, tol):
+        raise CrossCheckError(
+            "top spectral projection of a commutant element is not harmonic")
+    return witness
 
 
-def is_irreducible(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
-    """No non-trivial harmonic projection exists.
-
-    Lindblad models use the commutant criterion; discrete models use the
-    harmonic-projection search.
-    """
-    if model.kind == KIND_LINDBLAD:
-        return commutant_dimension(model, tol) == 1
-    return find_harmonic_projection(model, seed=seed, tol=tol) is None
+def is_irreducible(model, tol=DEFAULT_TOL):
+    """No non-trivial harmonic projection exists: the commutant of the
+    generator family and its adjoints is the scalars."""
+    return commutant_dimension(model, tol) == 1

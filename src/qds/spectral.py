@@ -47,8 +47,7 @@ class SpectralData:
     as ``ergodic_right @ ergodic_rows``: the columns of ``ergodic_right``
     span the right kernel of S - lambda_0 (lambda_0 the ergodic cluster's
     mean) and ``ergodic_rows`` is (L^+ R)^-1 L^+, with L spanning the left
-    kernel.  Projections of the other clusters are built on demand from a
-    sorted Schur form.
+    kernel; the columns of its adjoint span the left kernel too.
 
     The predual matrix is the conjugate transpose of the Heisenberg one,
     so the split of the Heisenberg matrix serves both pictures: the
@@ -64,16 +63,8 @@ class SpectralData:
     ergodic_index: int
     time_kind: str
     matrix: np.ndarray
-    cluster_tol: float
     ergodic_right: np.ndarray
     ergodic_rows: np.ndarray
-
-    def projection(self, i):
-        if i == self.ergodic_index:
-            return self.ergodic_right @ self.ergodic_rows
-        mu, radius = self.eigenvalues[i], 10 * self.cluster_tol
-        return _schur_cluster_projection(
-            self.matrix, lambda lam: abs(lam - mu) <= radius)
 
     def apply_ergodic(self, v):
         """E v, at O(n k) cost for a cluster of size k."""
@@ -82,10 +73,6 @@ class SpectralData:
     def apply_ergodic_adjoint(self, v):
         """E^+ v, the predual's ergodic projection applied to v."""
         return dagger(self.ergodic_rows) @ (dagger(self.ergodic_right) @ v)
-
-    @property
-    def spectral_projections(self):
-        return [self.projection(i) for i in range(len(self.clusters))]
 
     def subperipheral_extreme(self):
         """Largest modulus (discrete) or real part (continuous) among
@@ -127,25 +114,6 @@ def _cluster_indices(values, radius):
         free &= ~group
         clusters.append(np.flatnonzero(group))
     return clusters
-
-
-def _schur_cluster_projection(matrix, in_cluster):
-    """Spectral projector onto a cluster via a sorted Schur form and a
-    Sylvester solve; robust when eigenvectors elsewhere are defective."""
-    t, z, sdim = scipy.linalg.schur(matrix, output="complex", sort=in_cluster)
-    n = matrix.shape[0]
-    if sdim == 0:
-        return np.zeros_like(matrix)
-    if sdim == n:
-        return np.eye(n, dtype=complex)
-    t11 = t[:sdim, :sdim]
-    t12 = t[:sdim, sdim:]
-    t22 = t[sdim:, sdim:]
-    r = scipy.linalg.solve_sylvester(t11, -t22, t12)
-    block = np.zeros((n, n), dtype=complex)
-    block[:sdim, :sdim] = np.eye(sdim)
-    block[:sdim, sdim:] = r
-    return z @ block @ dagger(z)
 
 
 def spectral_split(superop, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
@@ -200,8 +168,8 @@ def spectral_split(superop, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
     data = SpectralData(
         eigenvalues=means, multiplicities=mults, clusters=tuple(clusters),
         peripheral=peripheral, ergodic_index=ergodic_index,
-        time_kind=superop.time_kind, matrix=m, cluster_tol=cluster_tol,
-        ergodic_right=right, ergodic_rows=rows)
+        time_kind=superop.time_kind, matrix=m, ergodic_right=right,
+        ergodic_rows=rows)
     _check_ergodic_projection(data, lam0)
     return data
 

@@ -1,18 +1,44 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qds.ergodicity import (
     DensityMatrix, ergodicity_reduction_equivalence, invariant_states,
     strong_ergodicity_check, support_projection,
 )
 from qds.errors import StructuralError
-from qds.models import predual_superoperator, apply_map
+from qds._linalg import vec
+from qds.models import apply_map, predual_superoperator, stochastic_model
 from qds.projections import is_subharmonic
-from qds.rand import random_kraus_model
+from qds.rand import (
+    random_block_diagonal_kraus, random_block_diagonal_lindblad,
+    random_kraus_model, random_kraus_with_invariant_subspace,
+    random_lindblad_model, random_lindblad_with_invariant_subspace,
+    structured_stochastic_matrix,
+)
 from qds.resolution import classify_projection, resolve
 from qds.spectral import evolve_predual
 
 from conftest import SQ5, trace_distance_oracle
+
+EIGENBASIS_CHAINS = json.loads(
+    (pathlib.Path(__file__).parent / "eigenbasis_chains.json").read_text())
+
+
+def _assert_basis_spans_predual_kernel(model):
+    """The hermitian basis must span the kernel of tau_* - 1 (or of the
+    predual generator), found here by an SVD of the predual matrix."""
+    s = predual_superoperator(model)
+    target = s.matrix - (np.eye(s.matrix.shape[0])
+                         if s.time_kind == "discrete_step" else 0.0)
+    want = scipy.linalg.null_space(target, rcond=1e-9)
+    got = np.stack([vec(b) for b in invariant_states(model).basis], axis=1)
+    assert got.shape[1] == want.shape[1]
+    got = np.linalg.qr(got)[0]
+    assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T, 2) <= 1e-8
 
 
 class TestInvariantStates:
@@ -43,6 +69,24 @@ class TestInvariantStates:
             for state in inv.states:
                 assert np.linalg.norm(
                     apply_map(sp, state.matrix) - state.matrix, 2) <= 1e-9
+
+    def test_basis_spans_predual_kernel_random_models(self):
+        rng = np.random.default_rng(23)
+        for _ in range(2):
+            for model in (
+                    random_kraus_model(rng, 3),
+                    random_block_diagonal_kraus(rng, [2, 2]),
+                    random_kraus_with_invariant_subspace(rng, 4, 2)[0],
+                    random_lindblad_model(rng, 3),
+                    random_block_diagonal_lindblad(rng, [2, 1]),
+                    random_lindblad_with_invariant_subspace(rng, 4, 2)[0],
+                    stochastic_model(structured_stochastic_matrix(rng, 6, 2, 2))):
+                _assert_basis_spans_predual_kernel(model)
+
+    @pytest.mark.parametrize("seed", sorted(EIGENBASIS_CHAINS))
+    def test_basis_spans_predual_kernel_chains(self, seed):
+        _assert_basis_spans_predual_kernel(
+            stochastic_model(np.array(EIGENBASIS_CHAINS[seed])))
 
     def test_supports_are_subharmonic(self, absorbing_chain):
         inv = invariant_states(absorbing_chain)

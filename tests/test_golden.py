@@ -1,5 +1,8 @@
-"""Reports of ``resolve`` and ``ergodic`` on the fixtures, compared with
-the committed reports in ``tests/golden`` (``timing_ms`` dropped).
+"""Reports of ``resolve`` and ``ergodic`` on the fixtures and on three
+seeded models (``tests/golden/models``: a chain with transient states, a
+Lindblad model with an invariant subspace and a block Kraus channel),
+compared with the committed reports in ``tests/golden`` (``timing_ms``
+dropped).
 
 Labels, ranks, supports, verdicts and keys must match exactly; floats may
 move by 1e-12.  A change that only makes the code faster must pass this
@@ -9,13 +12,18 @@ unchanged.
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from qds.cli import main
+from qds.models import stochastic_model
+from qds.serialize import dump_model
 
 from conftest import FIXTURES
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+MODELS = {p.stem: p for d in (FIXTURES, GOLDEN / "models")
+          for p in d.glob("*.json")}
 FLOAT_TOL = 1e-12
 CASES = sorted(p.name.split(".")[:2] for p in GOLDEN.glob("*.json"))
 
@@ -39,19 +47,47 @@ def differences(got, want, path="$"):
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
 
 
+def _report(capsys, command, path):
+    code = main([command, str(path), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    del report["timing_ms"]
+    return report
+
+
 def test_every_fixture_has_both_reports():
-    stems = sorted(p.stem for p in FIXTURES.glob("*.json"))
-    assert CASES == sorted([s, c] for s in stems for c in ("ergodic", "resolve"))
+    assert len(MODELS) == 8
+    assert CASES == sorted([s, c] for s in MODELS for c in ("ergodic", "resolve"))
 
 
 @pytest.mark.parametrize("stem,command", CASES)
 def test_report_matches_golden(capsys, stem, command):
-    code = main([command, str(FIXTURES / f"{stem}.json"), "--format", "json"])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 0
-    del report["timing_ms"]
+    report = _report(capsys, command, MODELS[stem])
     want = json.loads((GOLDEN / f"{stem}.{command}.json").read_text())
     assert differences(report, want) == []
+
+
+def test_slow_chain_state_is_exact(capsys, tmp_path):
+    # gap 1e-6: the computed state is ill-conditioned, so it is gated
+    # against the exact invariant state I/3 instead of an earlier report
+    eps = 1e-6
+    path = tmp_path / "slow_chain.json"
+    dump_model(stochastic_model([[1 - eps, eps, 0.0],
+                                 [eps, 1 - 2 * eps, eps],
+                                 [0.0, eps, 1 - eps]]), path)
+    exact = np.eye(3) / 3
+
+    def close(m):
+        m = np.asarray(m)
+        return np.linalg.norm(m[..., 0] + 1j * m[..., 1] - exact, 2) <= 1e-10
+
+    resolved = _report(capsys, "resolve", path)["payload"]["recurrent"]
+    assert [p["rank"] for p in resolved] == [3]
+    assert close(resolved[0]["classification"]["certificate"]["invariant_state"])
+    ergodic = _report(capsys, "ergodic", path)["payload"]
+    assert ergodic["fixed_space_dimension"] == 1
+    assert [close(s) for s in ergodic["invariant_states"]] == [True]
+    assert close(ergodic["strong_ergodicity"]["phi0"])
 
 
 def test_comparison_catches_changes():

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from qds.errors import StructuralError
-from qds.models import lindblad_model
-from qds.projections import Projection
+from qds.models import lindblad_model, stochastic_model
+from qds.projections import Projection, is_harmonic
 from qds.rand import (
     random_block_diagonal_kraus, random_block_diagonal_lindblad,
     random_hermitian, random_kraus_model, random_kraus_with_invariant_subspace,
     random_lindblad_model, random_lindblad_with_invariant_subspace,
+    random_stochastic_matrix, structured_stochastic_matrix,
 )
 from qds.resolution import (
     classify_projection, commutant_dimension, find_harmonic_projection,
@@ -194,9 +195,45 @@ class TestCommutant:
             model = lindblad_model(u @ h @ dag(u), [])
             assert commutant_dimension(model) == d
 
-    def test_kraus_kind_rejected(self, amplitude_damping):
-        with pytest.raises(StructuralError):
-            commutant_dimension(amplitude_damping)
+    def test_kraus_and_chain_dimensions(self, identity_channel,
+                                        absorbing_chain):
+        assert commutant_dimension(identity_channel) == 4
+        rng = np.random.default_rng(72)
+        for dims in ((2, 2), (1, 2, 1), (3, 1)):
+            model = random_block_diagonal_kraus(rng, dims)
+            assert commutant_dimension(model) == len(dims)
+        # the chain's graph is connected, so only the scalars commute
+        assert commutant_dimension(absorbing_chain) == 1
+
+
+def _block_chain(rng):
+    p = np.zeros((5, 5))
+    p[:3, :3] = random_stochastic_matrix(rng, 3)
+    p[3:, 3:] = random_stochastic_matrix(rng, 2)
+    return p
+
+
+def _irreducibility_models(rng):
+    return [random_kraus_model(rng, 3), random_kraus_model(rng, 2, 1),
+            random_block_diagonal_kraus(rng, (2, 1)),
+            random_kraus_with_invariant_subspace(rng, 4, 2)[0],
+            random_kraus_with_invariant_subspace(rng, 4, 2, reducing=True)[0],
+            random_lindblad_model(rng, 3, 2),
+            random_block_diagonal_lindblad(rng, (2, 2), 1),
+            random_lindblad_with_invariant_subspace(rng, 4, 2)[0],
+            random_lindblad_with_invariant_subspace(rng, 4, 2,
+                                                    reducing=True)[0],
+            stochastic_model(random_stochastic_matrix(rng, 4, 1, 2)),
+            stochastic_model(structured_stochastic_matrix(rng, 5)),
+            stochastic_model(_block_chain(rng))]
+
+
+# is_irreducible on _irreducibility_models(default_rng(91)) as decided by
+# the routes the commutant replaced: the seeded search for harmonic
+# projections (Kraus and chain models) and the {H, L_k, L_k^+} commutant
+# (Lindblad models).
+SEARCH_VERDICTS = [True, False, False, True, False, True, False, True, False,
+                   True, True, False]
 
 
 class TestIrreducibility:
@@ -215,19 +252,14 @@ class TestIrreducibility:
         model = random_block_diagonal_kraus(rng, (2, 2))
         witness = find_harmonic_projection(model, seed=5)
         assert witness is not None
-        from qds.projections import is_harmonic
-
         assert is_harmonic(model, witness)
 
-    def test_routes_agree_on_lindblad_models(self):
-        rng = np.random.default_rng(91)
-        for i in range(6):
-            if i % 3 == 0:
-                model = random_lindblad_model(rng, 3, 2)
-            elif i % 3 == 1:
-                model = random_block_diagonal_lindblad(rng, (2, 2), 1)
-            else:
-                model = random_lindblad_with_invariant_subspace(rng, 4, 2)[0]
-            commutant_route = commutant_dimension(model) == 1
-            search_route = find_harmonic_projection(model, seed=i) is None
-            assert commutant_route == search_route
+    def test_verdicts_match_the_replaced_routes(self):
+        models = _irreducibility_models(np.random.default_rng(91))
+        assert [is_irreducible(m) for m in models] == SEARCH_VERDICTS
+        for i, model in enumerate(models):
+            witness = find_harmonic_projection(model, seed=i)
+            assert (witness is None) == SEARCH_VERDICTS[i]
+            if witness is not None:
+                assert 0 < witness.rank < model.dim
+                assert is_harmonic(model, witness)

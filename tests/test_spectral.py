@@ -69,17 +69,10 @@ class TestSpectralSplit:
              if i != erg), key=lambda z: z.imag)
         assert others == pytest.approx([-2 - 2j, -2 + 2j])
 
-    def test_projections_resolve_identity(self, amplitude_damping):
-        data = spectral_split(heisenberg_superoperator(amplitude_damping))
-        total = sum(data.spectral_projections)
-        assert np.linalg.norm(total - np.eye(4), 2) <= 1e-8
-        for proj in data.spectral_projections:
-            assert np.linalg.norm(proj @ proj - proj, 2) <= 1e-8
-
     def test_ergodic_projection_commutes(self, amplitude_damping):
         s = heisenberg_superoperator(amplitude_damping)
         data = spectral_split(s)
-        p = data.projection(data.ergodic_index)
+        p = data.ergodic_right @ data.ergodic_rows
         assert np.linalg.norm(s.matrix @ p - p, 2) <= 1e-8  # eigenvalue 1
 
     def test_defective_ergodic_eigenvalue_raises(self):
@@ -102,10 +95,10 @@ class TestSpectralSplit:
         s = Superoperator(dim=2, matrix=m, picture="heisenberg",
                           time_kind="discrete_step")
         data = spectral_split(s)
-        total = sum(data.spectral_projections)
-        assert np.linalg.norm(total - np.eye(4), 2) <= 1e-7
-        erg = data.projection(data.ergodic_index)
+        erg = data.ergodic_right @ data.ergodic_rows
         assert np.linalg.norm(erg @ erg - erg, 2) <= 1e-8
+        assert np.linalg.norm(m @ erg - erg, 2) <= 1e-8
+        assert np.linalg.norm(erg @ m - erg, 2) <= 1e-8
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_gate_rejects_wrong_kernel_or_range(self, amplitude_damping, side):
@@ -121,7 +114,7 @@ class TestSpectralSplit:
         else:
             x = rng.standard_normal((4, 1))
             bad = dataclasses.replace(data, ergodic_right=r + x - r @ (rows @ x))
-        e = bad.projection(bad.ergodic_index)
+        e = bad.ergodic_right @ bad.ergodic_rows
         assert np.linalg.norm(e @ e - e, 2) <= 1e-12
         lam0 = data.eigenvalues[data.ergodic_index]
         _check_ergodic_projection(data, lam0)
@@ -206,7 +199,7 @@ class TestDegenerateChains:
         for build in (heisenberg_superoperator, predual_superoperator):
             s = build(model)
             data = spectral_split(s)
-            e = data.projection(data.ergodic_index)
+            e = data.ergodic_right @ data.ergodic_rows
             assert np.linalg.norm(e @ e - e, 2) <= 1e-10
             assert np.linalg.norm(s.matrix @ e - e, 2) <= 1e-10
             assert np.linalg.norm(e @ s.matrix - e, 2) <= 1e-10
