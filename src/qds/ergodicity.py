@@ -105,16 +105,25 @@ def _predual_ergodic_state(data, d, tol):
     return hermitize(rho / np.trace(rho).real)
 
 
+def _corner_state(model, p_obj, tol):
+    """Reduce to a sub-harmonic corner and split it once.  Returns the
+    reduced model, its invariant state of maximal support (in corner
+    coordinates) and that state's rank."""
+    reduced = reduce_model(model, p_obj, tol)
+    rho = _predual_ergodic_state(_derived(reduced, tol).split, reduced.dim,
+                                 tol)
+    return reduced, rho, range_projection(rho, tol).rank
+
+
 def corner_invariant_state(model, p, tol=DEFAULT_TOL):
     """Invariant state of maximal support inside a sub-harmonic corner,
     lifted back to the full space.  Returns (state_matrix, support_rank).
     """
     p_obj = p if isinstance(p, Projection) else Projection.from_matrix(p, tol)
-    reduced = reduce_model(model, p_obj, tol)
-    data = _derived(reduced, tol).split
-    rho_corner = _predual_ergodic_state(data, reduced.dim, tol)
-    support_rank = range_projection(rho_corner, tol).rank
-    if model.kind == "stochastic":
+    reduced, rho_corner, support_rank = _corner_state(model, p_obj, tol)
+    if reduced is model:
+        rho_full = rho_corner
+    elif model.kind == "stochastic":
         support = sorted(p_obj.diagonal_support())
         rho_full = np.zeros((model.dim, model.dim), dtype=complex)
         rho_full[np.ix_(support, support)] = rho_corner
@@ -241,10 +250,7 @@ def ergodicity_reduction_equivalence(model, p, tol=DEFAULT_TOL,
         raise StructuralError(
             "p must be the support of an invariant state; it is not even "
             f"sub-harmonic (residual {verdict.residual:.3g})")
-    reduced_model = reduce_model(model, p_obj, tol)
-    rho = _predual_ergodic_state(_derived(reduced_model, tol).split,
-                                 reduced_model.dim, tol)
-    support_rank = range_projection(rho, tol).rank
+    reduced_model, _, support_rank = _corner_state(model, p_obj, tol)
     if support_rank != p_obj.rank:
         raise StructuralError(
             "p is not the support of an invariant state (maximal invariant "

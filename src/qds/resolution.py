@@ -406,18 +406,20 @@ def _commutant_basis(model, tol):
     for every generator G."""
     d = model.dim
     eye = np.eye(d)
-    # The equations of one generator at a time are folded into a square
-    # triangular factor with the same singular values, so memory stays
-    # O(d^4) however long the family is (an embedded chain has one
-    # generator per edge).
-    r = np.zeros((0, d * d), dtype=complex)
+    # Zero equations are dropped (an embedded chain's edge generators keep
+    # 2d - 1 each); the rest are folded into a square triangular factor
+    # with the same singular values, so memory stays O(d^4).
+    rows = []
     for g in _generator_ops(model):
-        eqs = [np.kron(h.T, eye) - np.kron(eye, h) for h in (g, dagger(g))]
-        r = np.linalg.qr(np.vstack([r, *eqs]), mode="r")
-    _, s, vh = np.linalg.svd(r)
-    scale = s[0] if s[0] > 0 else 1.0
-    dim = int(np.sum(s <= max(tol.rank_tol * scale, 1e-12)))
-    return dagger(vh[d * d - dim:])
+        for h in (g, dagger(g)):
+            eq = np.kron(h.T, eye) - np.kron(eye, h)
+            rows.append(eq[np.any(eq != 0, axis=1)])
+        if sum(len(b) for b in rows) > 2 * d * d:
+            rows = [np.linalg.qr(np.vstack(rows), mode="r")]
+    _, s, vh = np.linalg.svd(np.vstack(rows))
+    scale = s[0] if s.size and s[0] > 0 else 1.0
+    rank = int(np.sum(s > max(tol.rank_tol * scale, 1e-12)))
+    return dagger(vh[rank:])
 
 
 def commutant_dimension(model, tol=DEFAULT_TOL):

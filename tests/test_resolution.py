@@ -110,6 +110,38 @@ class TestClassify:
         assert cert.complement_transient and cert.complement_metastable
         assert cert.closure_dim == 2
 
+    def test_full_space_state_from_a_rotated_basis(self):
+        # a full-rank projection built from a random unitary is the identity
+        # only up to round-off; its certified state must still be invariant
+        rng = np.random.default_rng(23)
+        chain = rng.random((3, 3))
+        models = [random_kraus_model(rng, 3), random_lindblad_model(rng, 3),
+                  stochastic_model(chain / chain.sum(axis=1, keepdims=True))]
+        for model in models:
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                                + 1j * rng.standard_normal((3, 3)))
+            p = Projection.from_basis(q)
+            assert not np.array_equal(p.matrix, np.eye(3))
+            cls = classify_projection(model, p)
+            assert cls.label == "positive_recurrent"
+            rho = cls.certificate.invariant_state
+            if model.kind == "kraus":
+                image = sum(k @ rho @ dag(k) for k in model.kraus_ops) - rho
+            elif model.kind == "lindblad":
+                h = model.hamiltonian
+                image = -1j * (h @ rho - rho @ h)
+                for l in model.lindblad_ops:
+                    ll = dag(l) @ l
+                    image = image + l @ rho @ dag(l) - 0.5 * (ll @ rho + rho @ ll)
+            else:
+                pi = np.diag(rho).real
+                image = np.diag(pi @ model.stochastic_matrix - pi)
+            assert np.linalg.norm(image, 2) < 1e-9
+            assert abs(np.trace(rho) - 1.0) < 1e-9
+            exact = classify_projection(model, np.eye(3))
+            assert np.allclose(rho, exact.certificate.invariant_state,
+                               atol=1e-9)
+
 
 class TestResolve:
     def test_absorbing_chain(self, absorbing_chain):
