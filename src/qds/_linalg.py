@@ -1,7 +1,8 @@
 """Dense linear-algebra helpers shared across the package.
 
-All matrices are numpy ``complex128`` arrays.  Vectorization is
-column-stacking: ``vec(A X B) = (B^T kron A) vec(X)``.
+All matrices are numpy ``complex128`` arrays, and a family of operators
+is an (m, d, d) stack.  Vectorization is column-stacking:
+``vec(A X B) = (B^T kron A) vec(X)``.
 """
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 __all__ = [
     "dagger", "hermitize", "vec", "unvec", "spectral_norm", "trace_norm",
     "min_eig", "is_hermitian", "as_complex_matrix", "orthonormal_columns",
-    "extend_basis", "invariant_closure", "seed_sequence",
+    "invariant_closure", "seed_sequence",
 ]
 
 
@@ -90,48 +91,31 @@ def orthonormal_columns(cols, rank_tol):
     return u[:, :r]
 
 
-def extend_basis(basis, new_vectors, rank_tol):
-    """Grow an orthonormal basis by the components of ``new_vectors``
-    outside its span.  Returns (basis, grew) with ``grew`` a bool."""
-    d = basis.shape[0]
-    added = []
-    current = basis
-    for w in np.asarray(new_vectors, dtype=complex).T:
-        nw = np.linalg.norm(w)
-        if nw <= rank_tol:
-            continue
-        resid = w - current @ (dagger(current) @ w)
-        # one re-orthogonalization pass keeps the basis numerically tight
-        resid = resid - current @ (dagger(current) @ resid)
-        nr = np.linalg.norm(resid)
-        if nr > rank_tol * nw:
-            vec_new = resid / nr
-            current = np.hstack([current, vec_new.reshape(d, 1)])
-            added.append(vec_new)
-            if current.shape[1] == d:
-                break
-    return current, bool(added)
-
-
 def invariant_closure(generators, start_basis, rank_tol):
     """Smallest subspace containing ``start_basis`` and invariant under
-    every operator in ``generators``.
+    every operator of the (m, d, d) stack ``generators``.
 
-    Iterates V <- V + sum_k G_k V with orthonormalization until the
-    dimension stabilizes; terminates in at most ``d`` rounds.
+    Block Krylov iteration: each round applies every generator to the
+    directions added in the last round in one product, drops images of
+    norm <= ``rank_tol``, normalises the rest, projects out the current
+    basis twice and keeps the directions whose singular values exceed
+    ``rank_tol``; so an image w adds a direction when its residual exceeds
+    rank_tol * ||w||.  Terminates in at most ``d`` rounds.
     """
     basis = np.asarray(start_basis, dtype=complex)
     if basis.ndim == 1:
         basis = basis.reshape(-1, 1)
     basis = orthonormal_columns(basis, rank_tol)
     d = basis.shape[0]
-    while basis.shape[1] < d:
-        grew_any = False
-        for g in generators:
-            basis, grew = extend_basis(basis, g @ basis, rank_tol)
-            grew_any = grew_any or grew
-            if basis.shape[1] == d:
-                break
-        if not grew_any:
-            break
+    new = basis
+    while new.shape[1] and basis.shape[1] < d:
+        images = np.matmul(generators, new).transpose(1, 0, 2).reshape(d, -1)
+        norms = np.linalg.norm(images, axis=0)
+        keep = norms > rank_tol
+        w = images[:, keep] / norms[keep]
+        for _ in range(2):
+            w = w - basis @ (dagger(basis) @ w)
+        u, s, _ = np.linalg.svd(w, full_matrices=False)
+        new = u[:, :min(int(np.sum(s > rank_tol)), d - basis.shape[1])]
+        basis = np.hstack([basis, new])
     return basis

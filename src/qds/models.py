@@ -148,25 +148,19 @@ class QuantumModel:
     def time_kind(self):
         return CONTINUOUS_GENERATOR if self.kind == KIND_LINDBLAD else DISCRETE_STEP
 
-    def step_operators(self):
-        """Kraus family of the one-step map (stochastic models are embedded)."""
-        if self.kind == KIND_KRAUS:
-            return list(self.kraus_ops)
-        if self.kind == KIND_STOCHASTIC:
-            return stochastic_kraus_ops(self.stochastic_matrix)
-        raise StructuralError("lindblad models have no one-step Kraus family")
-
     def generator_family(self):
         """Operators whose common invariant subspaces decide sub-harmonicity.
 
         Returns a list of (label, operator) pairs: the Kraus family for
-        discrete models, (drift, jump operators) for lindblad models.
+        discrete models (stochastic models are embedded), (drift, jump
+        operators) for lindblad models.
         """
         if self.kind == KIND_LINDBLAD:
             fam = [("Y", self.drift)]
             fam += [(f"L{k + 1}", op) for k, op in enumerate(self.lindblad_ops)]
             return fam
-        ops = self.step_operators()
+        ops = (self.kraus_ops if self.kind == KIND_KRAUS
+               else stochastic_kraus_ops(self.stochastic_matrix))
         return [(f"K{k + 1}", op) for k, op in enumerate(ops)]
 
     def content_hash(self):
@@ -207,17 +201,13 @@ def stochastic_model(matrix, sub_markov=False):
 
 def stochastic_kraus_ops(p):
     """Embedding of a stochastic matrix as a diagonal quantum channel:
-    one Kraus operator sqrt(P[i, j]) |j><i| per nonzero entry, so that
-    tau(diag f) = diag(P f)."""
+    one Kraus operator sqrt(P[i, j]) |j><i| per positive entry, in
+    row-major order, so that tau(diag f) = diag(P f).  Returned stacked
+    as an (m, d, d) array."""
     p = np.asarray(p, dtype=float)
-    d = p.shape[0]
-    ops = []
-    for i in range(d):
-        for j in range(d):
-            if p[i, j] > 0.0:
-                k = np.zeros((d, d), dtype=complex)
-                k[j, i] = np.sqrt(p[i, j])
-                ops.append(k)
+    i, j = np.nonzero(p > 0.0)
+    ops = np.zeros((len(i), p.shape[0], p.shape[0]), dtype=complex)
+    ops[np.arange(len(i)), j, i] = np.sqrt(p[i, j])
     return ops
 
 
@@ -327,9 +317,17 @@ class Superoperator:
 
 
 def _heisenberg_matrix(model, tol):
-    """Validated Heisenberg-picture matrix: one kron per operator."""
+    """Validated Heisenberg-picture matrix: one kron per operator, or for
+    an embedded chain P scattered onto the diagonal indices i (d + 1)."""
     _require_valid(model, tol)
     d = model.dim
+    if model.kind == KIND_STOCHASTIC:
+        # the values sqrt(P) sqrt(P) of the kron sum of the edge operators
+        m = np.zeros((d * d, d * d), dtype=complex)
+        i, j = np.nonzero(model.stochastic_matrix > 0.0)
+        root = np.sqrt(model.stochastic_matrix[i, j])
+        m[i * (d + 1), j * (d + 1)] = root * root
+        return m
     if model.kind == KIND_LINDBLAD:
         eye = np.eye(d)
         y = model.drift
@@ -337,7 +335,7 @@ def _heisenberg_matrix(model, tol):
         ops = model.lindblad_ops
     else:
         m = np.zeros((d * d, d * d), dtype=complex)
-        ops = model.step_operators()
+        ops = model.kraus_ops
     for l in ops:
         m += np.kron(l.T, dagger(l))
     return m

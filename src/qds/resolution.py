@@ -26,7 +26,7 @@ from .models import DEFAULT_SEED, DEFAULT_TOL, KIND_STOCHASTIC
 # benchmark's tracing test calls it through this module.
 from .models import heisenberg_superoperator  # noqa: F401
 from .projections import Projection, is_subharmonic, projection_basis, range_projection
-from .spectral import asymptotic_operator
+from .spectral import _derived, asymptotic_operator
 
 __all__ = [
     "Classification", "ClassificationCertificate", "ResolutionResult",
@@ -87,10 +87,6 @@ class ResolutionResult:
     seed: int
 
 
-def _generator_ops(model):
-    return [op for _, op in model.generator_family()]
-
-
 def reachability_closure(model, p, tol=DEFAULT_TOL):
     """Smallest subspace containing range(p) and invariant under the
     adjoints of all generators (Kraus operators, or drift and jumps).
@@ -100,7 +96,7 @@ def reachability_closure(model, p, tol=DEFAULT_TOL):
     """
     p_obj = p if isinstance(p, Projection) else Projection.from_matrix(p, tol)
     start = projection_basis(p_obj, tol)
-    adjoints = [dagger(g) for g in _generator_ops(model)]
+    adjoints = _derived(model, tol).family.adjoints
     basis = invariant_closure(adjoints, start, tol.rank_tol)
     return ClosureResult(basis=basis, dim=int(basis.shape[1]))
 
@@ -146,7 +142,8 @@ def is_transient_complement(model, p, tol=DEFAULT_TOL):
 def _smaller_invariant_subspace(ops, basis, rng, tol, n_random=2,
                                 use_eigenvectors=True):
     """Look for a strictly smaller common invariant subspace inside the
-    span of ``basis`` (assumed invariant under ``ops``).
+    span of ``basis`` (assumed invariant under the (m, d, d) stack
+    ``ops``).
 
     Candidate starting vectors are seeded random interior vectors first
     (so fully degenerate families split in a seed-dependent way) followed
@@ -157,7 +154,7 @@ def _smaller_invariant_subspace(ops, basis, rng, tol, n_random=2,
     m = basis.shape[1]
     if m <= 1:
         return None
-    ops_r = [dagger(basis) @ g @ basis for g in ops]
+    ops_r = dagger(basis) @ ops @ basis
     candidates = []
     for _ in range(n_random):
         v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -202,7 +199,7 @@ def minimal_subharmonic(model, within, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
             "'within' must be sub-harmonic "
             f"(residual {verdict.residual:.3g})")
 
-    ops = _generator_ops(model)
+    ops = _derived(model, tol).family.ops
     seed_seq = seed_sequence(seed)
 
     for attempt_seed in seed_seq.spawn(max_retries):
@@ -247,7 +244,7 @@ def classify_projection(model, p, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed_sequence(seed))
     basis = projection_basis(p_obj, tol)
     smaller = _smaller_invariant_subspace(
-        _generator_ops(model), basis, rng, tol, n_random=8)
+        _derived(model, tol).family.ops, basis, rng, tol, n_random=8)
     cert = ClassificationCertificate(
         subharmonic_residual=verdict.residual,
         closure_dim=trans.closure_dim, min_eig_y=trans.min_eig_y,
@@ -409,9 +406,10 @@ def _commutant_basis(model, tol):
     # Zero equations are dropped (an embedded chain's edge generators keep
     # 2d - 1 each); the rest are folded into a square triangular factor
     # with the same singular values, so memory stays O(d^4).
+    family = _derived(model, tol).family
     rows = []
-    for g in _generator_ops(model):
-        for h in (g, dagger(g)):
+    for g, g_adj in zip(family.ops, family.adjoints):
+        for h in (g, g_adj):
             eq = np.kron(h.T, eye) - np.kron(eye, h)
             rows.append(eq[np.any(eq != 0, axis=1)])
         if sum(len(b) for b in rows) > 2 * d * d:

@@ -16,6 +16,7 @@ pair, on first use, in a record kept on the model (:func:`_derived`).
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -261,13 +262,26 @@ def _horizon(data, tol):
     return "t", t, math.exp(-gap * t)
 
 
+GeneratorStack = namedtuple("GeneratorStack", "labels ops adjoints")
+
+
 class _Derived:
     """Heisenberg superoperator S of one (model, tolerances) pair, its
-    split, and its one-step and horizon propagators, each formed on first
-    use."""
+    split, its one-step and horizon propagators, and its stacked generator
+    family, each formed on first use."""
 
     def __init__(self, model, tol):
         self.model, self.tol = model, tol
+
+    @cached_property
+    def family(self):
+        """``generator_family()`` with its operators G and their adjoints
+        G^+ stacked as read-only (m, d, d) arrays."""
+        fam = self.model.generator_family()
+        d = self.model.dim
+        ops = np.array([op for _, op in fam], dtype=complex).reshape(-1, d, d)
+        return GeneratorStack(tuple(label for label, _ in fam), _freeze(ops),
+                              _freeze(np.conj(ops.transpose(0, 2, 1))))
 
     @cached_property
     def superop(self):

@@ -5,11 +5,12 @@ from qds.errors import StructuralError, ValidationFailure
 from qds.models import (
     QuantumModel, Tolerances, apply_map, effective_drift,
     heisenberg_superoperator, kraus_model, lindblad_model, predual_superoperator,
-    stochastic_model, validate_model,
+    stochastic_kraus_ops, stochastic_model, validate_model,
 )
 from qds.rand import (
     random_density_matrix, random_hermitian, random_kraus_model,
     random_lindblad_model, random_stochastic_matrix,
+    structured_stochastic_matrix,
 )
 
 from conftest import dag, kraus_heisenberg_oracle, kraus_predual_oracle
@@ -141,6 +142,53 @@ class TestSuperoperators:
             f[j] = 1.0
             out = apply_map(s, np.diag(f).astype(complex))
             assert np.allclose(np.diag(out).real, p @ f, atol=1e-12)
+
+
+def _edge_ops_by_loop(p):
+    """sqrt(P[i, j]) |j><i| for each positive entry, rows first."""
+    d = p.shape[0]
+    ops = []
+    for i in range(d):
+        for j in range(d):
+            if p[i, j] > 0.0:
+                k = np.zeros((d, d), dtype=complex)
+                k[j, i] = np.sqrt(p[i, j])
+                ops.append(k)
+    return ops
+
+
+def _seeded_chains():
+    """Ten chains: sparse and dense, with transient states, and two
+    sub-Markov ones with lost mass and a zero row."""
+    rng = np.random.default_rng(23)
+    chains = [(random_stochastic_matrix(rng, d, 1, max(1, d // 2)), False)
+              for d in (1, 2, 5, 9)]
+    chains += [(random_stochastic_matrix(rng, d), False) for d in (3, 7)]
+    chains += [(structured_stochastic_matrix(rng, d, 2, 3), False)
+               for d in (6, 10)]
+    lossy = 0.7 * random_stochastic_matrix(rng, 4, 1, 2)
+    lossy[2] = 0.0
+    chains += [(lossy, True), (np.zeros((3, 3)), True)]
+    return chains
+
+
+class TestChainEmbedding:
+    def test_edge_operators_equal_the_double_loop(self):
+        for p, _ in _seeded_chains():
+            got = stochastic_kraus_ops(p)
+            want = _edge_ops_by_loop(p)
+            assert got.shape == (len(want),) + p.shape
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def test_scatter_build_equals_the_kron_sum(self):
+        for p, sub_markov in _seeded_chains():
+            d = p.shape[0]
+            want = np.zeros((d * d, d * d), dtype=complex)
+            for k in _edge_ops_by_loop(p):
+                want += np.kron(k.T, dag(k))
+            model = stochastic_model(p, sub_markov=sub_markov)
+            assert np.array_equal(heisenberg_superoperator(model).matrix, want)
 
 
 class TestApplyMap:

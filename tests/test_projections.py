@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from qds.errors import StructuralError
-from qds.models import validate_model
+from qds.errors import CrossCheckError, StructuralError
+from qds.models import DEFAULT_TOL, stochastic_model, validate_model
 from qds.projections import (
     Projection, is_harmonic, is_subharmonic, range_projection, reduce_model,
 )
 from qds.rand import (
     random_hermitian, random_kraus_with_invariant_subspace,
     random_lindblad_with_invariant_subspace, random_projection,
+    structured_stochastic_matrix,
 )
-from qds.spectral import asymptotic_operator, evolve_heisenberg
+from qds.spectral import _derived, asymptotic_operator, evolve_heisenberg
 
 from conftest import SQ5
 
@@ -72,6 +73,43 @@ class TestSubharmonic:
             assert good.verdict and good.order_min_eig >= -1e-8
             bad = is_subharmonic(model, random_projection(rng, d, r))
             assert (not bad.verdict) == (bad.order_min_eig < -1e-8)
+
+    def test_batched_residuals_match_a_loop(self):
+        rng = np.random.default_rng(29)
+        cases = []
+        for d, r in ((3, 1), (5, 2), (6, 4)):
+            model, proj = random_kraus_with_invariant_subspace(rng, d, r, 3)
+            cases += [(model, proj), (model, random_projection(rng, d, r))]
+            model, proj = random_lindblad_with_invariant_subspace(rng, d, r)
+            cases += [(model, proj), (model, random_projection(rng, d, r))]
+        # states 0-3 recurrent, 4 and 5 transient
+        chain = stochastic_model(structured_stochastic_matrix(rng, 6, 2, 2))
+        cases += [(chain, Projection.onto_states(6, range(4))),
+                  (chain, Projection.onto_states(6, [4, 5]))]
+        verdicts = []
+        for model, p in cases:
+            got = is_subharmonic(model, p)
+            comp = np.eye(model.dim) - p.matrix
+            want = [(label, np.linalg.norm(comp @ op @ p.matrix, 2))
+                    for label, op in model.generator_family()]
+            residual = max(r for _, r in want)
+            witnesses = [(label, r) for label, r in want
+                         if r > DEFAULT_TOL.alg_tol]
+            assert got.verdict == (residual <= DEFAULT_TOL.alg_tol)
+            assert abs(got.residual - residual) <= 1e-14
+            assert [w[0] for w in got.witnesses] == [w[0] for w in witnesses]
+            for (_, r_got), (_, r_want) in zip(got.witnesses, witnesses):
+                assert abs(r_got - r_want) <= 1e-14
+            verdicts.append(got.verdict)
+        assert verdicts == [True, False] * 7
+
+    def test_empty_family_meets_the_order_test(self):
+        # a sub-Markov chain with no edges passes the algebraic test for
+        # every projection; its zero map fails the order test by 1
+        model = stochastic_model(np.zeros((2, 2)), sub_markov=True)
+        assert _derived(model, DEFAULT_TOL).family.ops.shape == (0, 2, 2)
+        with pytest.raises(CrossCheckError, match="order test min-eig -1"):
+            is_subharmonic(model, np.eye(2))
 
 
 class TestHarmonic:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import pathlib
@@ -12,8 +13,9 @@ from qds._linalg import unvec, vec
 from qds.ergodicity import _predual_ergodic_state, invariant_states
 from qds.errors import ConvergenceError, StructuralError
 from qds.models import (
-    DEFAULT_TOL, Superoperator, Tolerances, heisenberg_superoperator,
-    lindblad_model, predual_superoperator, stochastic_model,
+    DEFAULT_TOL, QuantumModel, Superoperator, Tolerances,
+    heisenberg_superoperator, lindblad_model, predual_superoperator,
+    stochastic_model,
 )
 from qds.projections import Projection
 from qds.rand import (
@@ -369,6 +371,40 @@ class TestDerivedMemo:
             predual = _propagator(predual_superoperator(model), model,
                                   **{kind: value})
             assert np.linalg.norm(dag(rec.horizon[0]) - predual, 2) <= 1e-12
+
+    def test_generator_stack_is_read_only_and_shared(self):
+        for model in _memo_models(np.random.default_rng(7)):
+            rec = _derived(model, DEFAULT_TOL)
+            labels, ops, adjoints = rec.family
+            family = model.generator_family()
+            assert labels == tuple(label for label, _ in family)
+            assert ops.shape == (len(family), model.dim, model.dim)
+            for op, adj, (_, want) in zip(ops, adjoints, family):
+                assert np.array_equal(op, want)
+                assert np.array_equal(adj, dag(want))
+            for stack in (ops, adjoints):
+                with pytest.raises(ValueError):
+                    stack[0, 0, 0] = 1.0
+            assert _derived(model, Tolerances()).family is rec.family
+            loose = _derived(model, Tolerances(alg_tol=1e-7))
+            assert loose.family is not rec.family
+
+    def test_resolve_reads_each_generator_family_once(self, monkeypatch):
+        calls = collections.Counter()
+        seen = []  # keeps every model alive, so ids stay unique
+        real = QuantumModel.generator_family
+
+        def counting(model):
+            calls[id(model)] += 1
+            seen.append(model)
+            return real(model)
+
+        monkeypatch.setattr(QuantumModel, "generator_family", counting)
+        models = _memo_models(np.random.default_rng(8))
+        for model in models:
+            resolve(model)
+            assert calls[id(model)] == 1
+        assert set(calls.values()) == {1}
 
     def test_second_resolve_forms_nothing_new(self, monkeypatch):
         model = random_block_diagonal_lindblad(np.random.default_rng(5), [2, 2])
