@@ -3,15 +3,34 @@
 All matrices are numpy ``complex128`` arrays, and a family of operators
 is an (m, d, d) stack.  Vectorization is column-stacking:
 ``vec(A X B) = (B^T kron A) vec(X)``.
+
+The hermitian operator basis.  U is the unitary d^2 x d^2 matrix whose
+columns are the vectorized hermitian matrices, orthonormal in the
+Hilbert-Schmidt inner product, in this order: E_ii (i < d), then
+(E_ij + E_ji)/sqrt(2) and then i (E_ij - E_ji)/sqrt(2), each over the
+pairs i < j in ``np.triu_indices`` order.  A superoperator S that preserves
+adjoints, S(x^+) = S(x)^+, maps hermitian to hermitian matrices, so
+U^+ S U is a real matrix.  :func:`to_hermitian_basis`,
+:func:`from_hermitian_basis` and :func:`hermitian_basis_columns` apply
+U^+ M U, U C U^+ and U C as O(d^4) gathers on index arrays cached per d,
+with no dense U: every column of U has at most two nonzeros.  Where two
+factors 1/sqrt(2) meet, their product is applied as exactly 1/2, so the
+identity and a diagonal (embedded chain) map transform bit-exactly.
 """
+
+import functools
+import math
 
 import numpy as np
 
 __all__ = [
     "dagger", "hermitize", "vec", "unvec", "spectral_norm", "trace_norm",
     "min_eig", "is_hermitian", "as_complex_matrix", "orthonormal_columns",
-    "invariant_closure", "seed_sequence",
+    "invariant_closure", "seed_sequence", "to_hermitian_basis",
+    "from_hermitian_basis", "hermitian_basis_columns",
 ]
+
+_HALF_ROOT = math.sqrt(0.5)
 
 
 def seed_sequence(seed):
@@ -119,3 +138,74 @@ def invariant_closure(generators, start_basis, rank_tol):
         new = u[:, :min(int(np.sum(s > rank_tol)), d - basis.shape[1])]
         basis = np.hstack([basis, new])
     return basis
+
+
+@functools.lru_cache(maxsize=64)
+def _hermitian_basis(d):
+    """Index arrays and factors of U for dimension d.
+
+    ``order`` lists the column-stacked positions of E_ii, then of E_ij and
+    then of E_ji (i < j, row-major), and ``inverse`` undoes it.  U is the
+    permutation ``order``, then (p, q) -> (p + q, p - q) on the two
+    off-diagonal blocks, then a diagonal D of 1, 1/sqrt(2) and 1j/sqrt(2)
+    on the diagonal, symmetric and anti-symmetric coordinates.  U^+ M U scales
+    entry (r, c) by conj(D_r) D_c, formed as ``rows[r] * cols[c]``.
+    ``cols`` holds 0.5/sqrt(2) where ``rows`` holds 1/sqrt(2): the two
+    differ by 1 ulp, and their product rounds to exactly 1/2.
+    """
+    i, j = np.nonzero(np.arange(d)[:, None] < np.arange(d))
+    order = np.concatenate([np.arange(d) * (d + 1), i + d * j, j + d * i])
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    h = (order.size + d) // 2
+    root = 0.5 / _HALF_ROOT
+    rows = np.ones(order.size, dtype=complex)
+    cols = np.ones(order.size, dtype=complex)
+    rows[d:h], rows[h:] = _HALF_ROOT, -1j * _HALF_ROOT
+    cols[d:h], cols[h:] = root, 1j * root
+    basis = (order, inverse, rows, cols)
+    for a in basis:
+        a.flags.writeable = False
+    return basis
+
+
+def _mix_rows(k, d):
+    """In place: rows (p, q) of the two off-diagonal blocks to
+    (p + q, p - q)."""
+    h = (k.shape[0] + d) // 2
+    p, q = k[d:h], k[h:]
+    t = p + q
+    np.subtract(p, q, out=q)
+    p[...] = t
+
+
+def to_hermitian_basis(m):
+    """U^+ M U for a d^2 x d^2 matrix M (complex result)."""
+    d = math.isqrt(m.shape[0])
+    order, _, rows, cols = _hermitian_basis(d)
+    k = np.asarray(m, dtype=complex)[order][:, order]
+    _mix_rows(k, d)
+    _mix_rows(k.T, d)
+    k *= rows[:, None] * cols
+    return k
+
+
+def from_hermitian_basis(c):
+    """U C U^+ for a d^2 x d^2 matrix C, the inverse of
+    :func:`to_hermitian_basis` (complex result)."""
+    d = math.isqrt(c.shape[0])
+    _, inverse, rows, cols = _hermitian_basis(d)
+    k = c * (rows.conj()[:, None] * cols.conj())
+    _mix_rows(k, d)
+    _mix_rows(k.T, d)
+    return k[inverse][:, inverse]
+
+
+def hermitian_basis_columns(c):
+    """U C for a d^2 x k matrix C of basis coordinates: its columns as
+    column-stacked vectors (complex result)."""
+    d = math.isqrt(c.shape[0])
+    _, inverse, rows, _ = _hermitian_basis(d)
+    k = c * rows.conj()[:, None]
+    _mix_rows(k, d)
+    return k.take(inverse, 0)

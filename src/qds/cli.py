@@ -237,7 +237,8 @@ def cmd_ergodic(model_path, args):
     }
     for state in inv.states:
         support = support_projection(state, tol)
-        eq = ergodicity_reduction_equivalence(model, support, tol, seed=seed)
+        eq = ergodicity_reduction_equivalence(model, support, tol, seed=seed,
+                                              full=erg)
         payload["reduction_equivalence"].append({
             "support_rank": support.rank,
             "support": np.asarray(support.matrix),

@@ -235,12 +235,15 @@ def strong_ergodicity_check(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
 
 
 def ergodicity_reduction_equivalence(model, p, tol=DEFAULT_TOL,
-                                     seed=DEFAULT_SEED):
+                                     seed=DEFAULT_SEED, full=None):
     """Strong ergodicity of the full dynamics versus its reduction to the
     support of an invariant state.
 
     When the limit operator of the support is the identity the two
     verdicts must coincide; otherwise the equivalence is vacuous.
+    ``full`` is the model's own report from
+    ``strong_ergodicity_check(model, tol, seed)`` when the caller already
+    holds it; otherwise that check runs here.
     """
     from .resolution import is_transient_complement
 
@@ -257,9 +260,10 @@ def ergodicity_reduction_equivalence(model, p, tol=DEFAULT_TOL,
             f"support inside p has rank {support_rank}, p has rank "
             f"{p_obj.rank})")
 
-    full = strong_ergodicity_check(model, tol, seed).holds
+    if full is None:
+        full = strong_ergodicity_check(model, tol, seed)
     reduced = strong_ergodicity_check(reduced_model, tol, seed).holds
     y_is_one = is_transient_complement(model, p_obj, tol).transient
-    consistent = (not y_is_one) or (full == reduced)
-    return ReductionEquivalence(full=full, reduced=reduced,
+    consistent = (not y_is_one) or (full.holds == reduced)
+    return ReductionEquivalence(full=full.holds, reduced=reduced,
                                 y_is_one=y_is_one, consistent=consistent)

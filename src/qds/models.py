@@ -18,12 +18,13 @@ transpose.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._linalg import (
     as_complex_matrix, dagger, hermitize, is_hermitian, spectral_norm,
-    unvec, vec,
+    to_hermitian_basis, unvec, vec,
 )
 from .errors import StructuralError, ValidationFailure
 
@@ -314,6 +315,17 @@ class Superoperator:
             raise StructuralError(
                 f"superoperator: expected shape {(self.dim**2,)*2}, got {m.shape}")
         object.__setattr__(self, "matrix", _freeze(m))
+
+    @cached_property
+    def hermitian_basis_matrix(self):
+        """U^+ S U, the matrix in the hermitian operator basis of
+        :mod:`qds._linalg`, formed on first use.  Real (float64) when S
+        preserves adjoints, read as max |Im| <= 1e-14 max |entry|, so that
+        it factors with real LAPACK; complex otherwise."""
+        a = to_hermitian_basis(self.matrix)
+        if np.abs(a.imag).max() <= 1e-14 * np.abs(a).max():
+            a = a.real
+        return _freeze(a)
 
 
 def _heisenberg_matrix(model, tol):

@@ -39,6 +39,11 @@ def _fail(path, message):
     raise StructuralError(f"{path}: {message}")
 
 
+def _is_number(x):
+    """A JSON number: ``bool`` is an ``int`` subclass but not a number."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def decode_matrix(obj, path="$"):
     """Rows of [re, im] pairs -> complex ndarray, naming the bad path on
     malformed input."""
@@ -56,7 +61,7 @@ def decode_matrix(obj, path="$"):
         entries = []
         for j, cell in enumerate(row):
             if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(x, (int, float)) for x in cell)):
+                    or not all(_is_number(x) for x in cell)):
                 _fail(f"{path}[{i}][{j}]", "expected an [re, im] pair")
             entries.append(complex(cell[0], cell[1]))
         rows.append(entries)
@@ -76,7 +81,7 @@ def decode_real_matrix(obj, path="$"):
         elif len(row) != width:
             _fail(f"{path}[{i}]", f"ragged row (expected {width} entries)")
         for j, cell in enumerate(row):
-            if not isinstance(cell, (int, float)):
+            if not _is_number(cell):
                 _fail(f"{path}[{i}][{j}]", "expected a number")
         rows.append([float(x) for x in row])
     return np.array(rows, dtype=float)
@@ -104,7 +109,7 @@ def model_from_json(obj, path="$"):
     if kind not in (KIND_KRAUS, KIND_LINDBLAD, KIND_STOCHASTIC):
         _fail(f"{path}.kind", f"unknown kind {kind!r}")
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         _fail(f"{path}.dim", "expected a positive integer")
 
     if kind == KIND_KRAUS:
@@ -238,11 +243,10 @@ def _format_matrix_lines(rows, indent):
 
 
 def _is_cell(cell):
-    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+    if _is_number(cell):
         return True
     return (isinstance(cell, list) and len(cell) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in cell))
+            and all(_is_number(x) for x in cell))
 
 
 def _is_matrix(value):

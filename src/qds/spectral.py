@@ -11,6 +11,16 @@ alone, never from an inverse of the full eigenvector matrix: an embedded
 classical chain has a zero eigenvalue of multiplicity about d^2 - d, and
 an eigenbasis inverse then loses the kernel of the projection.
 
+Every d^2-sized factorization (the split's ``eig`` and SVD, the
+propagators' ``expm`` and ``matrix_power``) runs on A = U^+ S U, S in the
+orthonormal hermitian operator basis U of :mod:`qds._linalg`
+(:attr:`Superoperator.hermitian_basis_matrix`).  The maps of a quantum
+dynamical semigroup preserve adjoints, so A is real and numpy dispatches
+to the real LAPACK drivers; A is taken as real when max |Im A| <= 1e-14
+max |A|, which every Kraus, Lindblad and chain matrix meets, and anything
+else runs through the same code on the complex A.  Results go back
+through U, so callers see column-stacked matrices only.
+
 Matrices derived from a model are formed once per (model, tolerances)
 pair, on first use, in a record kept on the model (:func:`_derived`).
 """
@@ -23,7 +33,10 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from ._linalg import dagger, hermitize, spectral_norm, unvec, vec
+from ._linalg import (
+    dagger, from_hermitian_basis, hermitian_basis_columns, hermitize,
+    spectral_norm, unvec, vec,
+)
 from .errors import ConvergenceError, CrossCheckError, StructuralError
 from .models import (
     DEFAULT_TOL, DISCRETE_STEP, KIND_LINDBLAD, _freeze,
@@ -49,6 +62,11 @@ class SpectralData:
     span the right kernel of S - lambda_0 (lambda_0 the ergodic cluster's
     mean) and ``ergodic_rows`` is (L^+ R)^-1 L^+, with L spanning the left
     kernel; the columns of its adjoint span the left kernel too.
+
+    The split is computed on A = U^+ S U (see the module docstring):
+    the eigenvalues are A's, which are S's, and both kernels are mapped back
+    through U, so ``ergodic_right`` and ``ergodic_rows`` act on
+    column-stacked vectors and ``matrix`` is S itself.
 
     The predual matrix is the conjugate transpose of the Heisenberg one,
     so the split of the Heisenberg matrix serves both pictures: the
@@ -124,14 +142,16 @@ def spectral_split(superop, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
     cluster containing the ergodic eigenvalue lambda_0 (1 for a discrete
     step, 0 for a continuous generator) is identified and required to be
     non-defective.  Its spectral projection E = R (L^+ R)^-1 L^+ comes
-    from one SVD of S - lambda_0, whose last k right and left singular
-    vectors (k the cluster size) span the two kernels; E must pass
-    idempotency and left/right invariance checks.  Not cached: the split
+    from one SVD of A - lambda_0 (A = U^+ S U, real lambda_0 for a real
+    A), whose last k right and left singular vectors (k the cluster size)
+    span the two kernels, mapped back through U; E must pass idempotency
+    and left/right invariance checks against S.  Not cached: the split
     of a model's own superoperator is kept on the model (:func:`_derived`).
     """
     m = superop.matrix
+    a = superop.hermitian_basis_matrix
     n = m.shape[0]
-    w = np.linalg.eig(m)[0]
+    w = np.linalg.eig(a)[0].astype(complex)
     clusters = _cluster_indices(w, cluster_tol)
     means = np.array([np.mean(w[c]) for c in clusters])
     mults = np.array([len(c) for c in clusters])
@@ -145,18 +165,20 @@ def spectral_split(superop, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
             "unital map/generator")
     ergodic_index = min(candidates, key=lambda i: abs(means[i] - ergodic_value))
 
-    # The two kernels of S - lambda_0 come from one SVD; the ergodic
+    # The two kernels of A - lambda_0 come from one SVD; the ergodic
     # eigenvalue is semisimple iff the right kernel has its full size.
     lam0 = means[ergodic_index]
+    if np.isrealobj(a):
+        lam0 = lam0.real
     k = int(mults[ergodic_index])
-    u, s, vh = np.linalg.svd(m - lam0 * np.eye(n))
+    u, s, vh = np.linalg.svd(a - lam0 * np.eye(n))
     geo = n if s[0] == 0.0 else int(np.sum(s <= max(tol.rank_tol, 1e-12) * s[0]))
     if geo < k:
         raise ConvergenceError(
             "non-diagonalizable peripheral part: the ergodic eigenvalue has a "
             f"Jordan block (algebraic {k}, geometric {geo})")
-    right = dagger(vh[n - k:])
-    left = dagger(u[:, n - k:])
+    right = hermitian_basis_columns(dagger(vh[n - k:]))
+    left = dagger(hermitian_basis_columns(u[:, n - k:]))
     rows = np.linalg.solve(left @ right, left)
 
     if superop.time_kind == DISCRETE_STEP:
@@ -202,18 +224,21 @@ def probe_vec(n):
 
 def _propagator(superop, model, t=None, n=None):
     """Matrix of the evolution over time t (continuous models, the
-    exponential of the generator) or n steps (discrete, the n-th power)."""
+    exponential of the generator) or n steps (discrete, the n-th power),
+    formed on A = U^+ S U and mapped back to column-stacked form."""
     if model.kind == KIND_LINDBLAD:
         if t is None:
             raise StructuralError("continuous-time model: pass t")
         if t < 0:
             raise StructuralError("negative time")
-        return scipy.linalg.expm(float(t) * superop.matrix)
+        return from_hermitian_basis(
+            scipy.linalg.expm(float(t) * superop.hermitian_basis_matrix))
     if n is None:
         raise StructuralError("discrete-time model: pass n")
     if n != int(n) or n < 0:
         raise StructuralError("negative time")
-    return np.linalg.matrix_power(superop.matrix, int(n))
+    return from_hermitian_basis(
+        np.linalg.matrix_power(superop.hermitian_basis_matrix, int(n)))
 
 
 def _apply(prop, x, dim, tol):
@@ -268,7 +293,8 @@ GeneratorStack = namedtuple("GeneratorStack", "labels ops adjoints")
 class _Derived:
     """Heisenberg superoperator S of one (model, tolerances) pair, its
     split, its one-step and horizon propagators, and its stacked generator
-    family, each formed on first use."""
+    family, each formed on first use.  S keeps its hermitian-basis matrix
+    A, so the split, the step and the horizon form A once between them."""
 
     def __init__(self, model, tol):
         self.model, self.tol = model, tol

@@ -5,7 +5,8 @@ import pytest
 
 from qds.cli import main
 from qds.serialize import (
-    decode_matrix, encode_matrix, load_model, model_from_json, model_to_json,
+    decode_matrix, decode_real_matrix, encode_matrix, load_model,
+    model_from_json, model_to_json,
 )
 from qds.errors import StructuralError
 
@@ -51,6 +52,17 @@ class TestRoundTrip:
     def test_unknown_kind_named(self):
         with pytest.raises(StructuralError, match=r"\$\.kind"):
             model_from_json({"dim": 2, "kind": "unitary"})
+
+    def test_json_booleans_are_not_matrix_entries(self):
+        with pytest.raises(StructuralError, match=r"\$\[0\]\[0\]: expected"):
+            decode_matrix([[[True, False]]])
+        with pytest.raises(StructuralError, match=r"\$\[1\]\[0\]: expected"):
+            decode_matrix([[[1.0, 0.0]], [[0, False]]])
+        with pytest.raises(StructuralError, match=r"\$\[0\]\[1\]: expected"):
+            decode_real_matrix([[1.0, True]])
+        with pytest.raises(StructuralError, match=r"\$\.dim"):
+            model_from_json({"dim": True, "kind": "stochastic",
+                             "stochastic": [[1.0]]})
 
 
 class TestCommands:

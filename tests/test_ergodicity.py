@@ -211,3 +211,59 @@ class TestReductionEquivalence:
                 eq = ergodicity_reduction_equivalence(model, support,
                                                       seed=50 + i)
                 assert eq.consistent
+
+
+class TestHeldFullVerdict:
+    """A caller holding the model's own strong-ergodicity report hands it
+    to ergodicity_reduction_equivalence instead of having it rerun."""
+
+    @staticmethod
+    def _counting(monkeypatch, modules):
+        import qds.ergodicity
+
+        real = qds.ergodicity.strong_ergodicity_check
+        checked = []
+
+        def counting(model, *args, **kwargs):
+            checked.append(model)
+            return real(model, *args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, "strong_ergodicity_check", counting)
+        return checked
+
+    def test_held_report_is_not_recomputed(self, monkeypatch):
+        import qds.ergodicity
+
+        rng = np.random.default_rng(15)
+        for model in (random_block_diagonal_kraus(rng, [2, 2]),
+                      random_kraus_model(rng, 3),
+                      stochastic_model(structured_stochastic_matrix(rng, 6))):
+            held = strong_ergodicity_check(model, seed=3)
+            checked = self._counting(monkeypatch, [qds.ergodicity])
+            for state in invariant_states(model, seed=3).states:
+                support = support_projection(state)
+                del checked[:]
+                want = ergodicity_reduction_equivalence(model, support, seed=3)
+                assert len(checked) == 2 and checked[0] is model
+                del checked[:]
+                got = ergodicity_reduction_equivalence(model, support, seed=3,
+                                                       full=held)
+                # only the reduced corner is checked
+                assert len(checked) == 1
+                assert got == want
+
+    def test_cli_checks_the_full_model_once(self, monkeypatch, tmp_path):
+        import qds.cli
+        import qds.ergodicity
+
+        checked = self._counting(monkeypatch, [qds.cli, qds.ergodicity])
+        fixture = pathlib.Path(__file__).parent.parent / "fixtures"
+        out = tmp_path / "report.json"
+        assert qds.cli.main(["ergodic", str(fixture / "absorbing_chain_3.json"),
+                             "--output", str(out)]) == 0
+        states = json.loads(out.read_text())["payload"]["invariant_states"]
+        assert len(states) == 2
+        # the full model once, then one reduced corner per invariant state
+        assert len(checked) == 1 + len(states)
+        assert all(m.dim == 1 for m in checked[1:])

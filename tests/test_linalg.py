@@ -1,14 +1,24 @@
 """The block-Krylov invariant closure against the Gram-Schmidt closure it
-replaced, on seeded Kraus, Lindblad, chain-edge and identity families."""
+replaced, on seeded Kraus, Lindblad, chain-edge and identity families; the
+hermitian operator basis against its dense definition."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from qds._linalg import dagger, invariant_closure, orthonormal_columns
-from qds.models import stochastic_kraus_ops
+from qds._linalg import (
+    dagger, from_hermitian_basis, hermitian_basis_columns, invariant_closure,
+    orthonormal_columns, to_hermitian_basis, vec,
+)
+from qds.models import (
+    heisenberg_superoperator, predual_superoperator, stochastic_kraus_ops,
+    stochastic_model,
+)
 from qds.rand import (
-    random_kraus_with_invariant_subspace,
-    random_lindblad_with_invariant_subspace, structured_stochastic_matrix,
+    random_block_diagonal_kraus, random_block_diagonal_lindblad,
+    random_kraus_model, random_kraus_with_invariant_subspace,
+    random_lindblad_model, random_lindblad_with_invariant_subspace,
+    random_stochastic_matrix, structured_stochastic_matrix,
 )
 
 RANK_TOL = 1e-9
@@ -94,3 +104,88 @@ def test_closure_of_an_empty_family_is_the_start():
     start = np.eye(3, dtype=complex)[:, :1]
     got = invariant_closure(np.zeros((0, 3, 3), dtype=complex), start, RANK_TOL)
     assert np.array_equal(got, start)
+
+
+def _dense_hermitian_basis(d):
+    """U from its definition: the vectorized E_ii, (E_ij + E_ji)/sqrt(2)
+    and i (E_ij - E_ji)/sqrt(2), i < j, as columns."""
+    def unit(i, j):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, j] = 1.0
+        return e
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    mats = ([unit(i, i) for i in range(d)]
+            + [(unit(i, j) + unit(j, i)) / np.sqrt(2) for i, j in pairs]
+            + [1j * (unit(i, j) - unit(j, i)) / np.sqrt(2) for i, j in pairs])
+    return np.stack([vec(m) for m in mats], axis=1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_hermitian_basis_transforms_match_the_dense_basis(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 7))
+    n = d * d
+    u = _dense_hermitian_basis(d)
+    assert np.linalg.norm(dagger(u) @ u - np.eye(n)) <= 1e-14
+    m = _random_vectors(rng, n, n)
+    scale = np.abs(m).max()
+    a = to_hermitian_basis(m)
+    assert np.abs(a - dagger(u) @ m @ u).max() <= 1e-14 * scale
+    assert np.abs(from_hermitian_basis(a) - m).max() <= 1e-15 * scale
+    assert np.abs(from_hermitian_basis(m) - u @ m @ dagger(u)).max() <= \
+        1e-14 * scale
+    cols = m[:, :int(rng.integers(1, n + 1))]
+    assert np.abs(hermitian_basis_columns(cols) - u @ cols).max() <= \
+        1e-14 * scale
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_identity_and_chain_maps_transform_bit_exactly(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 9))
+    eye = np.eye(d * d, dtype=complex)
+    assert np.array_equal(to_hermitian_basis(eye), eye)
+    assert np.array_equal(from_hermitian_basis(eye), eye)
+    s = heisenberg_superoperator(
+        stochastic_model(random_stochastic_matrix(rng, d))).matrix
+    a = to_hermitian_basis(s)
+    diag = np.arange(d) * (d + 1)
+    want = np.zeros_like(s)
+    want[:d, :d] = s[np.ix_(diag, diag)]
+    assert np.array_equal(a, want)
+    assert np.array_equal(from_hermitian_basis(a), s)
+
+
+def _random_model(kind, rng):
+    d = int(rng.integers(2, 6))
+    if kind == "kraus":
+        return random_kraus_model(rng, d)
+    if kind == "lindblad":
+        return random_lindblad_model(rng, d)
+    if kind == "kraus-blocks":
+        return random_block_diagonal_kraus(rng, [d, int(rng.integers(1, 4))])
+    if kind == "lindblad-blocks":
+        return random_block_diagonal_lindblad(rng, [d, int(rng.integers(1, 4))])
+    return stochastic_model(structured_stochastic_matrix(rng, d + 2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["kraus", "lindblad", "kraus-blocks",
+                             "lindblad-blocks", "chain"]))
+def test_superoperators_are_real_in_the_hermitian_basis(seed, kind):
+    model = _random_model(kind, np.random.default_rng(seed))
+    for build in (heisenberg_superoperator, predual_superoperator):
+        s = build(model)
+        a = s.hermitian_basis_matrix
+        assert np.isrealobj(a) and not a.flags.writeable
+        assert np.abs(a - to_hermitian_basis(s.matrix)).max() <= \
+            1e-14 * np.abs(a).max()
+        # the same spectrum as the complex column-stacked matrix
+        want = np.linalg.eig(s.matrix)[0]
+        got = np.linalg.eig(a)[0]
+        dist = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert dist[rows, cols].max() <= 1e-12 * max(1.0, np.abs(want).max())

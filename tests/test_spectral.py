@@ -26,9 +26,9 @@ from qds.rand import (
 )
 from qds.resolution import resolve
 from qds.spectral import (
-    _check_ergodic_projection, _cluster_indices, _derived, _horizon,
-    _propagator, asymptotic_operator, evolve_heisenberg, evolve_predual,
-    spectral_split,
+    CLUSTER_TOL, _check_ergodic_projection, _cluster_indices, _derived,
+    _horizon, _propagator, asymptotic_operator, evolve_heisenberg,
+    evolve_predual, spectral_split,
 )
 
 from conftest import (
@@ -456,3 +456,96 @@ class TestDerivedMemo:
                                 want.recurrent_projections):
                 assert np.array_equal(got.matrix, ref.matrix)
         assert len(vars(model)["_derived"]) == 1
+
+
+def _split_in_complex_arithmetic(superop, tol=DEFAULT_TOL):
+    """Reference split on the column-stacked complex matrix S itself:
+    eig of S, one SVD of S - lambda_0 and the kernels read off directly.
+    Returns (E, multiplicities, peripheral multiplicities)."""
+    m = superop.matrix
+    n = m.shape[0]
+    w = np.linalg.eig(m)[0]
+    clusters = _cluster_indices(w, CLUSTER_TOL)
+    means = np.array([np.mean(w[c]) for c in clusters])
+    mults = np.array([len(c) for c in clusters])
+    ergodic_value = 1.0 if superop.time_kind == "discrete_step" else 0.0
+    candidates = [i for i, mu in enumerate(means) if abs(mu - ergodic_value)
+                  <= max(CLUSTER_TOL, 1e3 * tol.alg_tol)]
+    erg = min(candidates, key=lambda i: abs(means[i] - ergodic_value))
+    k = int(mults[erg])
+    u, s, vh = np.linalg.svd(m - means[erg] * np.eye(n))
+    geo = n if s[0] == 0.0 else int(np.sum(s <= max(tol.rank_tol, 1e-12) * s[0]))
+    if geo < k:
+        raise ConvergenceError(
+            "non-diagonalizable peripheral part: the ergodic eigenvalue has a "
+            f"Jordan block (algebraic {k}, geometric {geo})")
+    right = dag(vh[n - k:])
+    left = dag(u[:, n - k:])
+    if superop.time_kind == "discrete_step":
+        edge = np.abs(np.abs(means) - 1.0)
+    else:
+        edge = np.abs(means.real)
+    return (right @ np.linalg.solve(left @ right, left), sorted(mults),
+            sorted(mults[edge <= CLUSTER_TOL]))
+
+
+def _seeded_split_models():
+    """The models of test_predual_state_from_heisenberg_split_random_models."""
+    rng = np.random.default_rng(21)
+    models = []
+    for _ in range(4):
+        models.append(random_kraus_model(rng, int(rng.integers(2, 5))))
+        models.append(random_block_diagonal_kraus(rng, [2, 2]))
+        models.append(random_lindblad_model(rng, int(rng.integers(2, 5))))
+        models.append(random_block_diagonal_lindblad(rng, [2, 1]))
+        models.append(stochastic_model(random_stochastic_matrix(
+            rng, int(rng.integers(2, 7)))))
+        models.append(stochastic_model(structured_stochastic_matrix(rng, 6)))
+    return models
+
+
+def _assert_matches_the_complex_split(s):
+    data = spectral_split(s)
+    want, mults, peripheral = _split_in_complex_arithmetic(s)
+    assert np.abs(data.ergodic_right @ data.ergodic_rows - want).max() <= 1e-12
+    assert sorted(data.multiplicities) == mults
+    assert sorted(data.multiplicities[list(data.peripheral)]) == peripheral
+
+
+class TestHermitianBasisSplit:
+    """The split on A = U^+ S U against the split on S in complex
+    arithmetic."""
+
+    def test_seeded_models_match_the_complex_split(self):
+        for model in _seeded_split_models():
+            for build in (heisenberg_superoperator, predual_superoperator):
+                s = build(model)
+                assert np.isrealobj(s.hermitian_basis_matrix)
+                _assert_matches_the_complex_split(s)
+
+    def test_identity_channel_splits_exactly(self, identity_channel):
+        s = heisenberg_superoperator(identity_channel)
+        assert np.array_equal(s.hermitian_basis_matrix, np.eye(4))
+        assert np.array_equal(spectral_split(s).multiplicities, [4])
+
+    def test_jordan_matrices_take_the_complex_path(self):
+        decaying = np.zeros((4, 4), dtype=complex)
+        decaying[0, 0] = 1.0
+        decaying[1, 1] = decaying[2, 2] = 0.5
+        decaying[1, 2] = 1.0
+        decaying[3, 3] = 0.2
+        s = Superoperator(dim=2, matrix=decaying, picture="heisenberg",
+                          time_kind="discrete_step")
+        assert np.iscomplexobj(s.hermitian_basis_matrix)
+        _assert_matches_the_complex_split(s)
+
+        defective = np.diag([1.0, 1.0, 0.3, 0.2]).astype(complex)
+        defective[0, 1] = 1.0
+        s = Superoperator(dim=2, matrix=defective, picture="heisenberg",
+                          time_kind="discrete_step")
+        assert np.iscomplexobj(s.hermitian_basis_matrix)
+        with pytest.raises(ConvergenceError) as want:
+            _split_in_complex_arithmetic(s)
+        with pytest.raises(ConvergenceError) as got:
+            spectral_split(s)
+        assert str(got.value) == str(want.value)
