@@ -15,24 +15,20 @@ import time
 
 import numpy as np
 
-from .classical import classical_classify, support_comparison
 from .errors import (
     ConvergenceError, CrossCheckError, StructuralError, ValidationFailure,
 )
 from .ergodicity import (
     ergodicity_reduction_equivalence, invariant_states, strong_ergodicity_check,
-    support_projection,
 )
-from .models import (
-    DEFAULT_SEED, KIND_STOCHASTIC, Tolerances, validate_model,
-)
+from .models import DEFAULT_SEED, Tolerances, validate_model
 from .picard import picard_limit
 from .projections import Projection, is_harmonic, is_subharmonic
 from .resolution import classify_projection, resolve
 from .serialize import (
     Report, load_matrix, load_model, report_to_json, report_to_text,
 )
-from .spectral import evolve_heisenberg, evolve_predual
+from .spectral import check_time, evolve_heisenberg, evolve_predual
 
 __all__ = ["main", "cmd_check", "cmd_classify", "cmd_resolve", "cmd_evolve",
            "cmd_picard", "cmd_ergodic"]
@@ -44,15 +40,17 @@ def _tolerances(args):
 
 
 def _seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QDS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise StructuralError(f"QDS_SEED must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+    seed = args.seed
+    if seed is None:
+        seed = os.environ.get("QDS_SEED", DEFAULT_SEED)
+    try:
+        if int(seed) >= 0:
+            return int(seed)
+    except ValueError:
+        pass
+    raise StructuralError(
+        f"seed (--seed, then QDS_SEED) must be a non-negative integer, "
+        f"got {seed!r}")
 
 
 def _report(model, command, seed, tol, payload, residuals, started):
@@ -154,13 +152,10 @@ def cmd_resolve(model_path, args):
         "seed": res.seed,
     }
     residuals = {
-        "y_total_min_eig": float(np.linalg.eigvalsh(res.y_total)[0]),
+        "y_total_min_eig": res.remainder_certificate.certificate.min_eig_y,
     }
-    if model.kind == KIND_STOCHASTIC:
-        # resolve has raised already if the supports disagree
-        agree, detail = support_comparison(
-            res, classical_classify(model.stochastic_matrix, tol))
-        payload["classical_comparison"] = {"agree": agree, **detail}
+    if res.classical_comparison is not None:
+        payload["classical_comparison"] = res.classical_comparison
     rep = _report(model, "resolve", seed, tol, payload, residuals, started)
     return rep, 0
 
@@ -170,8 +165,8 @@ def cmd_evolve(model_path, operator_path, args):
     tol = _tolerances(args)
     model = load_model(model_path)
     x = load_matrix(operator_path)
-    if args.t is not None and args.t < 0:
-        raise StructuralError("negative time")
+    if args.t is not None:
+        check_time(args.t)
     if args.n is not None and args.n < 0:
         raise StructuralError("negative time")
     kwargs = {}
@@ -235,8 +230,7 @@ def cmd_ergodic(model_path, args):
         },
         "reduction_equivalence": [],
     }
-    for state in inv.states:
-        support = support_projection(state, tol)
+    for support in inv.supports:
         eq = ergodicity_reduction_equivalence(model, support, tol, seed=seed,
                                               full=erg)
         payload["reduction_equivalence"].append({

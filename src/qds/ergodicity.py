@@ -21,7 +21,8 @@ from ._linalg import (
 from .errors import ConvergenceError, CrossCheckError, StructuralError
 from .models import DEFAULT_SEED, DEFAULT_TOL, DISCRETE_STEP
 from .projections import (
-    Projection, is_subharmonic, projection_basis, range_projection, reduce_model,
+    as_projection, is_subharmonic, projection_basis, range_projection,
+    reduce_model,
 )
 from .spectral import _derived
 
@@ -63,8 +64,11 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class InvariantStates:
+    """Fixed-point basis, and extremal invariant states with their supports."""
+
     basis: tuple
     states: tuple
+    supports: tuple
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ def corner_invariant_state(model, p, tol=DEFAULT_TOL):
     """Invariant state of maximal support inside a sub-harmonic corner,
     lifted back to the full space.  Returns (state_matrix, support_rank).
     """
-    p_obj = p if isinstance(p, Projection) else Projection.from_matrix(p, tol)
+    p_obj = as_projection(p, tol)
     reduced, rho_corner, support_rank = _corner_state(model, p_obj, tol)
     if reduced is model:
         rho_full = rho_corner
@@ -162,7 +166,7 @@ def invariant_states(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     rows.  Each state is the one :func:`classify_projection` certified for
     its recurrent projection inside :func:`resolve`; it is checked here
     for invariance under the predual, the adjoint of S, and for a
-    sub-harmonic support."""
+    sub-harmonic support, which is returned alongside it."""
     from .resolution import resolve
 
     d = model.dim
@@ -171,7 +175,7 @@ def invariant_states(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
 
     res = resolve(model, seed=seed, tol=tol)
     s = rec.superop
-    states = []
+    states, supports = [], []
     for cls in res.certificates:
         rho = cls.certificate.invariant_state
         image = unvec(dagger(s.matrix) @ vec(rho), d)
@@ -182,12 +186,14 @@ def invariant_states(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
             raise CrossCheckError(
                 f"extremal state is not invariant (residual {resid:.3g})")
         state = DensityMatrix.from_matrix(rho, tol)
-        if not is_subharmonic(model, support_projection(state, tol),
-                              tol).verdict:
+        support = support_projection(state, tol)
+        if not is_subharmonic(model, support, tol).verdict:
             raise CrossCheckError(
                 "support of an invariant state failed the sub-harmonic test")
         states.append(state)
-    return InvariantStates(basis=tuple(basis), states=tuple(states))
+        supports.append(support)
+    return InvariantStates(basis=tuple(basis), states=tuple(states),
+                           supports=tuple(supports))
 
 
 def support_projection(rho, tol=DEFAULT_TOL):
@@ -247,7 +253,7 @@ def ergodicity_reduction_equivalence(model, p, tol=DEFAULT_TOL,
     """
     from .resolution import is_transient_complement
 
-    p_obj = p if isinstance(p, Projection) else Projection.from_matrix(p, tol)
+    p_obj = as_projection(p, tol)
     verdict = is_subharmonic(model, p_obj, tol)
     if not verdict.verdict:
         raise StructuralError(

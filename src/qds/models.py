@@ -68,8 +68,9 @@ class Tolerances:
     def __post_init__(self):
         for name in ("rank_tol", "alg_tol", "conv_tol"):
             v = getattr(self, name)
-            if not (v > 0.0):
-                raise StructuralError(f"Tolerances.{name} must be > 0")
+            if not (0.0 < v < np.inf):
+                raise StructuralError(
+                    f"Tolerances.{name} must be finite and > 0, got {v}")
         if self.rank_tol >= 1.0:
             raise StructuralError("Tolerances.rank_tol must be < 1")
 

@@ -23,7 +23,7 @@ import scipy.linalg
 from ._linalg import dagger, hermitize, spectral_norm
 from .errors import ConvergenceError, StructuralError
 from .models import DEFAULT_TOL, KIND_LINDBLAD
-from .spectral import evolve_heisenberg
+from .spectral import check_time, evolve_heisenberg
 
 __all__ = ["PicardTrace", "PicardResult", "picard_iterate", "picard_limit"]
 
@@ -85,8 +85,7 @@ class _PicardGrid:
     def __init__(self, model, x, t, steps, tol):
         if model.kind != KIND_LINDBLAD:
             raise StructuralError("Picard scheme is continuous-time only")
-        if t < 0:
-            raise StructuralError("negative time")
+        check_time(t)
         if not (isinstance(steps, (int, np.integer)) and steps >= 8):
             raise StructuralError("steps must be an integer >= 8")
         x = np.asarray(x, dtype=complex)

@@ -12,9 +12,9 @@ from .models import (
     QuantumModel, apply_map, stochastic_model,
 )
 
-__all__ = ["Projection", "SubharmonicVerdict", "is_subharmonic",
-           "is_harmonic", "range_projection", "reduce_model",
-           "projection_basis"]
+__all__ = ["Projection", "SubharmonicVerdict", "as_projection",
+           "is_subharmonic", "is_harmonic", "range_projection",
+           "reduce_model", "projection_basis"]
 
 # Inputs within this distance of an exact projection are snapped to one
 # (users hand-author matrices in JSON); beyond it they are rejected.
@@ -88,15 +88,14 @@ class Projection:
                          if self.matrix[i, i].real >= threshold)
 
 
-def _as_projection_matrix(p, tol):
-    if isinstance(p, Projection):
-        return p.matrix
-    return Projection.from_matrix(p, tol).matrix
+def as_projection(p, tol=DEFAULT_TOL):
+    """``p`` as a :class:`Projection`: itself, or its matrix snapped."""
+    return p if isinstance(p, Projection) else Projection.from_matrix(p, tol)
 
 
 def projection_basis(p, tol=DEFAULT_TOL):
     """Deterministic orthonormal basis (d x rank) of the range of p."""
-    p_mat = _as_projection_matrix(p, tol)
+    p_mat = as_projection(p, tol).matrix
     vals, vecs = np.linalg.eigh(p_mat)
     keep = vals >= 0.5
     return vecs[:, keep]
@@ -124,7 +123,7 @@ def is_subharmonic(model, p, tol=DEFAULT_TOL):
     """
     from .spectral import _derived, _step_map
 
-    p_mat = _as_projection_matrix(p, tol)
+    p_mat = as_projection(p, tol).matrix
     comp = np.eye(model.dim) - p_mat
 
     family = _derived(model, tol).family
@@ -150,7 +149,7 @@ def is_harmonic(model, p, tol=DEFAULT_TOL):
     one step reproduces p (discrete) or the generator annihilates p."""
     from .spectral import _derived
 
-    p_mat = _as_projection_matrix(p, tol)
+    p_mat = as_projection(p, tol).matrix
     s = _derived(model, tol).superop
     image = apply_map(s, p_mat, tol)
     if s.time_kind == DISCRETE_STEP:
@@ -191,7 +190,7 @@ def reduce_model(model, p, tol=DEFAULT_TOL, allow_sub_markov=False):
     carrying the ``sub_markov`` flag.  The corner of the whole space is
     the model itself, so its derived matrices are shared.
     """
-    p_obj = p if isinstance(p, Projection) else Projection.from_matrix(p, tol)
+    p_obj = as_projection(p, tol)
     if p_obj.rank == 0:
         raise StructuralError("cannot reduce to the zero projection")
     sub = is_subharmonic(model, p_obj, tol)

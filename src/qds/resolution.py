@@ -2,10 +2,10 @@
 
 The central operation is :func:`resolve`, which peels off minimal
 sub-harmonic (recurrent) projections one at a time: find a minimal one,
-take the limit operator y of the accumulated sum, cut away the range of
-y, and continue in the complement until nothing is left.  The output is
-a commuting family of orthogonal recurrent projections plus a remainder
-whose limit operator is injective.
+cut away the reachability closure of the accumulated sum (the range of
+its limit operator y), and continue in the complement until nothing is
+left.  The output is a commuting family of orthogonal recurrent
+projections plus a remainder whose limit operator is injective.
 
 Also provided: reachability closures (the adjoint-orbit criterion for
 injectivity of y), transience certificates, projection classification,
@@ -13,7 +13,7 @@ and irreducibility via the commutant of the generator family, whose
 projections are exactly the harmonic ones.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,9 @@ from .models import DEFAULT_SEED, DEFAULT_TOL, KIND_STOCHASTIC
 # Kept importable as ``qds.resolution.heisenberg_superoperator``: the
 # benchmark's tracing test calls it through this module.
 from .models import heisenberg_superoperator  # noqa: F401
-from .projections import Projection, is_subharmonic, projection_basis, range_projection
+from .projections import (
+    Projection, as_projection, is_subharmonic, projection_basis,
+)
 from .spectral import _derived, asymptotic_operator
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
 
 LABEL_POSITIVE_RECURRENT = "positive_recurrent"
 LABEL_NULL_RECURRENT = "null_recurrent"
-LABEL_METASTABLE = "metastable"
 LABEL_TRANSIENT = "transient"
 LABEL_SUBHARMONIC_NONMINIMAL = "subharmonic_nonminimal"
 LABEL_NOT_SUBHARMONIC = "not_subharmonic"
@@ -75,6 +76,7 @@ class TransienceResult:
     metastable: bool
     min_eig_y: float
     closure_dim: int
+    y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,7 @@ class ResolutionResult:
     certificates: tuple
     remainder_certificate: Classification
     seed: int
+    classical_comparison: dict | None = None
 
 
 def reachability_closure(model, p, tol=DEFAULT_TOL):
@@ -94,7 +97,7 @@ def reachability_closure(model, p, tol=DEFAULT_TOL):
     Injectivity of the limit operator y of a sub-harmonic p is equivalent
     to this closure being the whole space.
     """
-    p_obj = p if isinstance(p, Projection) else Projection.from_matrix(p, tol)
+    p_obj = as_projection(p, tol)
     start = projection_basis(p_obj, tol)
     adjoints = _derived(model, tol).family.adjoints
     basis = invariant_closure(adjoints, start, tol.rank_tol)
@@ -109,17 +112,13 @@ def is_transient_complement(model, p, tol=DEFAULT_TOL):
                      <=>  min-eig(y) above the rank cutoff;
     both are computed and must agree.  transient(1-p) <=> y = 1; at
     finite dimension a metastable complement must also be transient and
-    this is asserted.
+    this is asserted.  A p that is not sub-harmonic has no limit operator
+    and raises :class:`StructuralError`.
     """
-    p_obj = p if isinstance(p, Projection) else Projection.from_matrix(p, tol)
+    p_obj = as_projection(p, tol)
     d = model.dim
-    verdict = is_subharmonic(model, p_obj, tol)
-    if not verdict.verdict:
-        raise StructuralError(
-            f"projection is not sub-harmonic (residual {verdict.residual:.3g})")
-
-    closure = reachability_closure(model, p_obj, tol)
     y = asymptotic_operator(model, p_obj, tol)
+    closure = reachability_closure(model, p_obj, tol)
     min_eig_y = float(np.linalg.eigvalsh(y)[0])
 
     meta_reach = closure.dim == d
@@ -129,14 +128,14 @@ def is_transient_complement(model, p, tol=DEFAULT_TOL):
             "injectivity certificates disagree: reachability closure dim "
             f"{closure.dim}/{d} but min-eig(y) = {min_eig_y:.3g}")
 
-    transient = spectral_norm(y - np.eye(d)) <= tol.alg_tol
+    off_one = spectral_norm(y - np.eye(d))
+    transient = off_one <= tol.alg_tol
     if meta_inj and not transient:
         raise CrossCheckError(
             "finite-dimensional collapse violated: y injective "
-            f"(min eig {min_eig_y:.3g}) but ||y - 1|| = "
-            f"{spectral_norm(y - np.eye(d)):.3g}")
+            f"(min eig {min_eig_y:.3g}) but ||y - 1|| = {off_one:.3g}")
     return TransienceResult(transient=transient, metastable=meta_inj,
-                            min_eig_y=min_eig_y, closure_dim=closure.dim)
+                            min_eig_y=min_eig_y, closure_dim=closure.dim, y=y)
 
 
 def _smaller_invariant_subspace(ops, basis, rng, tol, n_random=2,
@@ -189,8 +188,7 @@ def minimal_subharmonic(model, within, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
     decomposition itself is genuinely non-unique across seeds for
     degenerate dynamics.
     """
-    within_obj = (within if isinstance(within, Projection)
-                  else Projection.from_matrix(within, tol))
+    within_obj = as_projection(within, tol)
     if within_obj.rank == 0:
         raise StructuralError("'within' must be a nonzero projection")
     verdict = is_subharmonic(model, within_obj, tol)
@@ -231,7 +229,7 @@ def classify_projection(model, p, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     support exactly p exists.  Null recurrence cannot occur at finite
     dimension; hitting it raises instead of returning.
     """
-    p_obj = p if isinstance(p, Projection) else Projection.from_matrix(p, tol)
+    p_obj = as_projection(p, tol)
     verdict = is_subharmonic(model, p_obj, tol)
     if not verdict.verdict:
         return Classification(
@@ -262,12 +260,9 @@ def classify_projection(model, p, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
             "finite-dimensional theory, numerical failure "
             f"(support rank {support_rank} of invariant state inside a "
             f"minimal projection of rank {p_obj.rank})")
-    cert = ClassificationCertificate(
-        subharmonic_residual=verdict.residual, invariant_state=state,
-        closure_dim=trans.closure_dim, min_eig_y=trans.min_eig_y,
-        complement_transient=trans.transient,
-        complement_metastable=trans.metastable)
-    return Classification(label=LABEL_POSITIVE_RECURRENT, certificate=cert)
+    return Classification(
+        label=LABEL_POSITIVE_RECURRENT,
+        certificate=replace(cert, invariant_state=state))
 
 
 def _snap_to_diagonal(p, model, tol):
@@ -298,12 +293,13 @@ def resolve(model, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """Orthogonal recurrent projections plus a metastable remainder.
 
     Loop: pick a minimal sub-harmonic projection inside the current
-    complement, compute the limit operator y of the accumulated sum, cut
-    the complement down to the kernel side of y, repeat until the
-    complement is empty.  Each returned projection is certified positive
-    recurrent; the remainder's limit operator is injective (and equal to
-    the identity at finite dimension).  Deterministic for a fixed seed.
-    On stochastic models the supports are cross-checked against the
+    complement, then cut the complement down to the orthocomplement of
+    the reachability closure of the accumulated sum (the range of its
+    limit operator y), until the complement is empty.  Each returned
+    projection is certified positive recurrent; y of their sum is formed
+    once, for the remainder's certificate, and must be injective (and the
+    identity at finite dimension).  Deterministic for a fixed seed.  On
+    stochastic models the supports are cross-checked against the
     strongly-connected-component oracle and disagreement raises.
     """
     d = model.dim
@@ -311,11 +307,10 @@ def resolve(model, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
 
     remainder = Projection.identity(d)
     parts = []
-    y_total = np.eye(d, dtype=complex)
     for iteration in range(d + 1):
         if remainder.rank == 0:
             break
-        if iteration == d and remainder.rank > 0:
+        if iteration == d:
             raise ConvergenceError(
                 "resolution loop exceeded the space dimension")
         p_i = minimal_subharmonic(model, remainder, seed=children[iteration],
@@ -323,16 +318,18 @@ def resolve(model, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
         if model.kind == KIND_STOCHASTIC:
             p_i = _snap_to_diagonal(p_i, model, tol)
         parts.append(p_i)
-        acc = Projection.from_matrix(
-            sum(p.matrix for p in parts), tol)
-        y_total = asymptotic_operator(model, acc, tol)
-        q_i = range_projection(y_total, tol)
-        remainder = Projection.from_matrix(np.eye(d) - q_i.matrix, tol)
+        acc = Projection.from_matrix(sum(p.matrix for p in parts), tol)
+        closure = reachability_closure(model, acc, tol).basis
+        remainder = Projection.from_matrix(
+            np.eye(d) - closure @ dagger(closure), tol)
 
-    acc_matrix = sum(p.matrix for p in parts)
-    q = Projection.from_matrix(np.eye(d) - acc_matrix, tol)
-
-    _check_resolution_invariants(parts, q, y_total, d, tol)
+    q = Projection.from_matrix(np.eye(d) - acc.matrix, tol)
+    _check_resolution_invariants(parts, q, d, tol)
+    trans = is_transient_complement(model, acc, tol)
+    if not trans.metastable:
+        raise CrossCheckError(
+            "limit operator of the recurrent sum is not injective "
+            f"(min eig {trans.min_eig_y:.3g})")
 
     order = sorted(range(len(parts)), key=lambda i: _ordering_key(parts[i]))
     parts = [parts[i] for i in order]
@@ -345,10 +342,9 @@ def resolve(model, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
                 "numerical failure in the resolution")
         certificates.append(cls)
 
-    acc = Projection.from_matrix(acc_matrix, tol)
-    trans = is_transient_complement(model, acc, tol)
+    # is_transient_complement has raised unless y = 1
     remainder_certificate = Classification(
-        label=LABEL_TRANSIENT if trans.transient else LABEL_METASTABLE,
+        label=LABEL_TRANSIENT,
         certificate=ClassificationCertificate(
             min_eig_y=trans.min_eig_y, closure_dim=trans.closure_dim,
             complement_transient=trans.transient,
@@ -356,16 +352,16 @@ def resolve(model, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
 
     result = ResolutionResult(
         recurrent_projections=tuple(parts), metastable_remainder=q,
-        y_total=y_total, certificates=tuple(certificates),
+        y_total=trans.y, certificates=tuple(certificates),
         remainder_certificate=remainder_certificate,
         seed=seed if isinstance(seed, int) else -1)
-
     if model.kind == KIND_STOCHASTIC:
-        _cross_check_classical(model, result, tol)
+        comparison = _cross_check_classical(model, result, tol)
+        result = replace(result, classical_comparison=comparison)
     return result
 
 
-def _check_resolution_invariants(parts, q, y_total, d, tol):
+def _check_resolution_invariants(parts, q, d, tol):
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             cross = spectral_norm(parts[i].matrix @ parts[j].matrix)
@@ -376,14 +372,11 @@ def _check_resolution_invariants(parts, q, y_total, d, tol):
     total = sum(p.matrix for p in parts) + q.matrix
     if spectral_norm(total - np.eye(d)) > tol.alg_tol:
         raise CrossCheckError("resolution does not sum to the identity")
-    min_eig_y = float(np.linalg.eigvalsh(hermitize(y_total))[0])
-    if min_eig_y <= tol.rank_tol:
-        raise CrossCheckError(
-            f"limit operator of the recurrent sum is not injective "
-            f"(min eig {min_eig_y:.3g})")
 
 
 def _cross_check_classical(model, result, tol):
+    """The SCC oracle's comparison, ``{"agree": True, **detail}``; raises
+    on disagreement."""
     from .classical import classical_classify, support_comparison
 
     agree, detail = support_comparison(
@@ -395,6 +388,7 @@ def _cross_check_classical(model, result, tol):
             f"classes {detail['closed_classes']}; remainder "
             f"{detail['resolved_transient']} vs transient "
             f"{detail['transient_states']}")
+    return {"agree": agree, **detail}
 
 
 def _commutant_basis(model, tol):

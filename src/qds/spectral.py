@@ -222,6 +222,14 @@ def probe_vec(n):
     return p / np.linalg.norm(p)
 
 
+def check_time(t):
+    """Reject an evolution time that is negative or not finite."""
+    if t < 0:
+        raise StructuralError("negative time")
+    if not math.isfinite(t):
+        raise StructuralError(f"time must be finite, got {t}")
+
+
 def _propagator(superop, model, t=None, n=None):
     """Matrix of the evolution over time t (continuous models, the
     exponential of the generator) or n steps (discrete, the n-th power),
@@ -229,14 +237,14 @@ def _propagator(superop, model, t=None, n=None):
     if model.kind == KIND_LINDBLAD:
         if t is None:
             raise StructuralError("continuous-time model: pass t")
-        if t < 0:
-            raise StructuralError("negative time")
+        check_time(t)
         return from_hermitian_basis(
             scipy.linalg.expm(float(t) * superop.hermitian_basis_matrix))
     if n is None:
         raise StructuralError("discrete-time model: pass n")
-    if n != int(n) or n < 0:
-        raise StructuralError("negative time")
+    check_time(n)
+    if n != int(n):
+        raise StructuralError(f"step count must be an integer, got {n}")
     return from_hermitian_basis(
         np.linalg.matrix_power(superop.hermitian_basis_matrix, int(n)))
 
@@ -351,14 +359,11 @@ def asymptotic_operator(model, p, tol=DEFAULT_TOL):
     against a long-horizon evolution.  Raises when p is not sub-harmonic
     or when the two routes disagree.
     """
-    from .projections import Projection, is_subharmonic
+    from .projections import as_projection, is_subharmonic
 
-    if isinstance(p, Projection):
-        p_mat = p.matrix
-    else:
-        p_mat = Projection.from_matrix(p, tol).matrix
-
-    verdict = is_subharmonic(model, p_mat, tol)
+    p_obj = as_projection(p, tol)
+    p_mat = p_obj.matrix
+    verdict = is_subharmonic(model, p_obj, tol)
     if not verdict.verdict:
         raise StructuralError(
             "projection is not sub-harmonic: the limit is not monotone and "

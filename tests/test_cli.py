@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import qds.classical
+import qds.cli
 from qds.cli import main
 from qds.serialize import (
     decode_matrix, decode_real_matrix, encode_matrix, load_model,
@@ -116,6 +118,69 @@ class TestCommands:
                                proj, "--t", -1)
         assert code == 2
         assert "negative time" in err
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_time_is_structural(self, capsys, tmp_path, t):
+        x = write_matrix(tmp_path, "x.json", np.diag([1.0, 0.0]))
+        for argv in (("evolve", FIXTURES / "dephasing.json", x),
+                     ("evolve", FIXTURES / "amplitude_damping.json", x,
+                      "--n", 1),
+                     ("picard", FIXTURES / "amplitude_damping_lindblad.json",
+                      x, "--steps", 16)):
+            code, out, err = run_cli(capsys, *argv, "--t", t)
+            assert code == 2, argv
+            assert out == ""
+            assert "time must be finite" in err
+
+    def test_negative_infinite_time_is_negative(self, capsys, tmp_path):
+        x = write_matrix(tmp_path, "x.json", np.diag([1.0, 0.0]))
+        code, _, err = run_cli(
+            capsys, "picard", FIXTURES / "amplitude_damping_lindblad.json", x,
+            "--t=-inf")
+        assert code == 2
+        assert "negative time" in err
+
+    @pytest.mark.parametrize("flags", [("--seed", -3), ("--tol", "inf"),
+                                       ("--conv-tol", "inf"),
+                                       ("--rank-tol", "inf")])
+    def test_bad_seed_or_tolerance_is_structural(self, capsys, flags):
+        for command in ("resolve", "check"):
+            code, out, err = run_cli(capsys, command,
+                                     FIXTURES / "amplitude_damping.json",
+                                     *flags)
+            assert code == 2, (command, flags)
+            assert out == ""
+            assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["-4", "seven"])
+    def test_bad_seed_variable_is_structural(self, capsys, monkeypatch,
+                                              value):
+        monkeypatch.setenv("QDS_SEED", value)
+        code, out, err = run_cli(capsys, "resolve",
+                                 FIXTURES / "identity_channel_d2.json")
+        assert code == 2
+        assert out == ""
+        assert "QDS_SEED" in err and repr(value) in err
+
+    def test_resolve_runs_the_chain_oracle_once(self, capsys, monkeypatch):
+        calls = []
+        real = qds.classical.classical_classify
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qds.classical, "classical_classify", counting)
+        # also where a command module holds the oracle under its own name
+        monkeypatch.setattr(qds.cli, "classical_classify", counting,
+                            raising=False)
+        code, out, _ = run_cli(capsys, "resolve",
+                               FIXTURES / "absorbing_chain_3.json")
+        assert code == 0
+        assert len(calls) == 1
+        doc = json.loads(out)
+        assert doc["payload"]["classical_comparison"]["agree"] is True
+        assert doc["residuals"]["y_total_min_eig"] == pytest.approx(1.0)
 
     def test_evolve_heisenberg(self, capsys, tmp_path):
         proj = write_matrix(tmp_path, "p.json", np.diag([1.0, 0.0]))

@@ -94,6 +94,16 @@ class TestInvariantStates:
             support = support_projection(state)
             assert is_subharmonic(absorbing_chain, support).verdict
 
+    def test_supports_are_the_states_range_projections(
+            self, absorbing_chain, identity_channel):
+        for model in (absorbing_chain, identity_channel):
+            inv = invariant_states(model)
+            assert len(inv.supports) == len(inv.states)
+            for state, support in zip(inv.states, inv.supports):
+                want = support_projection(state)
+                assert support.rank == want.rank
+                assert np.array_equal(support.matrix, want.matrix)
+
 
 class TestSupportProjection:
     def test_pure_state(self):

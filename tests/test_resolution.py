@@ -1,9 +1,15 @@
+import collections
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+import qds.projections
+import qds.resolution
 from qds.errors import StructuralError
-from qds.models import lindblad_model, stochastic_model
-from qds.projections import Projection, is_harmonic
+from qds.models import kraus_model, lindblad_model, stochastic_model
+from qds.projections import Projection, is_harmonic, range_projection
 from qds.rand import (
     random_block_diagonal_kraus, random_block_diagonal_lindblad,
     random_hermitian, random_kraus_model, random_kraus_with_invariant_subspace,
@@ -15,7 +21,7 @@ from qds.resolution import (
     is_irreducible, is_transient_complement, minimal_subharmonic,
     reachability_closure, resolve,
 )
-from qds.spectral import evolve_heisenberg
+from qds.spectral import asymptotic_operator, evolve_heisenberg
 
 from conftest import dag
 
@@ -295,3 +301,92 @@ class TestIrreducibility:
             if witness is not None:
                 assert 0 < witness.rank < model.dim
                 assert is_harmonic(model, witness)
+
+
+def _model_with_remainder(kind, rng):
+    """A chain with two closed classes and two transient states, or the
+    direct sum of two Kraus or Lindblad models that each have a
+    non-reducing invariant subspace: two recurrent parts and a nonzero
+    remainder."""
+    if kind == "chain":
+        return stochastic_model(structured_stochastic_matrix(
+            rng, 7, n_classes=2, n_transient=2))
+    if kind == "kraus":
+        a, b = (random_kraus_with_invariant_subspace(rng, d, r)[0]
+                for d, r in ((3, 1), (4, 2)))
+        return kraus_model([scipy.linalg.block_diag(x, y)
+                            for x, y in zip(a.kraus_ops, b.kraus_ops)])
+    a, b = (random_lindblad_with_invariant_subspace(rng, d, r)[0]
+            for d, r in ((3, 1), (4, 2)))
+    return lindblad_model(
+        scipy.linalg.block_diag(a.hamiltonian, b.hamiltonian),
+        [scipy.linalg.block_diag(x, y)
+         for x, y in zip(a.lindblad_ops, b.lindblad_ops)])
+
+
+class TestClosureCut:
+    """``resolve`` cuts by the reachability closure; the range of the limit
+    operator y, which it cut by before, is the reference."""
+
+    @settings(max_examples=45, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(("kraus", "lindblad", "chain")))
+    def test_closure_is_the_range_of_the_limit_operator(self, seed, kind):
+        model = _model_with_remainder(kind, np.random.default_rng(seed))
+        res = resolve(model, seed=seed)
+        assert len(res.recurrent_projections) == 2
+        assert res.metastable_remainder.rank > 0
+        acc = np.zeros((model.dim, model.dim), dtype=complex)
+        for part in res.recurrent_projections:
+            acc = acc + part.matrix
+            basis = reachability_closure(model, acc).basis
+            want = range_projection(asymptotic_operator(model, acc)).matrix
+            assert np.linalg.norm(basis @ dag(basis) - want, 2) <= 1e-10
+
+
+def _counting(monkeypatch, counts, module, name, key=None):
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        counts[key or name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+class TestEachLimitOnce:
+    def test_resolve_forms_one_limit_per_part_and_one_for_their_sum(
+            self, monkeypatch):
+        counts = collections.Counter()
+        _counting(monkeypatch, counts, qds.resolution, "asymptotic_operator")
+        rng = np.random.default_rng(17)
+        for kind in ("kraus", "lindblad", "chain"):
+            counts.clear()
+            res = resolve(_model_with_remainder(kind, rng))
+            assert counts["asymptotic_operator"] == len(
+                res.recurrent_projections) + 1
+            assert np.array_equal(
+                res.remainder_certificate.certificate.min_eig_y,
+                np.linalg.eigvalsh(res.y_total)[0])
+
+    def test_transience_tests_subharmonicity_only_inside_the_limit(
+            self, amplitude_damping, monkeypatch):
+        counts = collections.Counter()
+        # asymptotic_operator reads the projections module's name when
+        # called; the resolution module holds its own
+        for module in (qds.projections, qds.resolution):
+            _counting(monkeypatch, counts, module, "is_subharmonic")
+        _counting(monkeypatch, counts, qds.resolution, "asymptotic_operator")
+        is_transient_complement(amplitude_damping, np.diag([1.0, 0.0]))
+        assert counts == {"is_subharmonic": 1, "asymptotic_operator": 1}
+        with pytest.raises(StructuralError, match="not sub-harmonic"):
+            is_transient_complement(amplitude_damping, np.diag([0.0, 1.0]))
+
+    def test_classical_comparison_kept_for_chains_only(
+            self, absorbing_chain, amplitude_damping):
+        res = resolve(absorbing_chain, seed=1)
+        assert res.classical_comparison == {
+            "agree": True, "resolved_supports": [[0], [2]],
+            "closed_classes": [[0], [2]], "resolved_transient": [1],
+            "transient_states": [1]}
+        assert resolve(amplitude_damping, seed=1).classical_comparison is None

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import math
 import pathlib
 import sys
 import threading
@@ -241,6 +242,16 @@ class TestEvolution:
             evolve_heisenberg(dephasing, SX, t=-1.0)
         with pytest.raises(StructuralError, match="negative"):
             evolve_heisenberg(amplitude_damping, SX, n=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, dephasing, amplitude_damping,
+                                      value):
+        with pytest.raises(StructuralError, match="finite"):
+            evolve_heisenberg(dephasing, SX, t=value)
+        with pytest.raises(StructuralError, match="finite"):
+            evolve_predual(amplitude_damping, SX, n=value)
+        with pytest.raises(StructuralError, match="integer"):
+            evolve_heisenberg(amplitude_damping, SX, n=1.5)
 
     def test_semigroup_law(self):
         rng = np.random.default_rng(21)
