@@ -23,6 +23,8 @@ import math
 
 import numpy as np
 
+from .errors import StructuralError
+
 __all__ = [
     "dagger", "hermitize", "vec", "unvec", "spectral_norm", "trace_norm",
     "min_eig", "is_hermitian", "as_complex_matrix", "orthonormal_columns",
@@ -34,10 +36,14 @@ _HALF_ROOT = math.sqrt(0.5)
 
 
 def seed_sequence(seed):
-    """Normalize an int / SeedSequence seed argument."""
+    """A non-negative integer or a SeedSequence seed, as a SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(seed)
+    if (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+            and seed >= 0):
+        return np.random.SeedSequence(int(seed))
+    raise StructuralError(
+        f"seed must be a non-negative integer or a SeedSequence, got {seed!r}")
 
 
 def dagger(a):
@@ -84,8 +90,6 @@ def is_hermitian(a, tol):
 
 def as_complex_matrix(a, name="matrix"):
     """Coerce to a finite complex128 2-d array."""
-    from .errors import StructuralError
-
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise StructuralError(f"{name}: expected a 2-d array, got ndim={m.ndim}")

@@ -2,9 +2,10 @@
 
 The predual fixed-point space always contains a state at finite
 dimension; extremal invariant states sit on the recurrent projections of
-the resolution, one per minimal sub-harmonic corner.  Strong ergodicity
-is decided spectrally (simple ergodic eigenvalue, nothing else on the
-peripheral boundary) and verified dynamically on random initial states.
+the resolution, one per minimal sub-harmonic p: E^+ (p / rank p), which
+stays on p.  Strong ergodicity is decided spectrally (simple ergodic
+eigenvalue, nothing else on the peripheral boundary) and verified
+dynamically on random initial states.
 
 Everything predual is read off the Heisenberg split: the predual matrix is
 the conjugate transpose of the Heisenberg matrix, its ergodic projection is
@@ -18,13 +19,13 @@ import numpy as np
 from ._linalg import (
     dagger, hermitize, seed_sequence, spectral_norm, trace_norm, unvec, vec,
 )
-from .errors import ConvergenceError, CrossCheckError, StructuralError
+from .errors import CrossCheckError, StructuralError
 from .models import DEFAULT_SEED, DEFAULT_TOL, DISCRETE_STEP
 from .projections import (
-    as_projection, is_subharmonic, projection_basis, range_projection,
-    reduce_model,
+    as_projection, is_subharmonic, range_projection, reduce_model,
 )
-from .spectral import _derived
+from .resolution import is_transient_complement, resolve
+from .spectral import _derived, _predual_ergodic_state, corner_invariant_state
 
 __all__ = [
     "DensityMatrix", "InvariantStates", "ErgodicityReport",
@@ -86,57 +87,6 @@ class ReductionEquivalence:
     consistent: bool
 
 
-def _predual_ergodic_state(data, d, tol):
-    """Cesaro-limit state of the maximally mixed initial state under the
-    predual, read off the Heisenberg split ``data`` as E^+ vec(1/d):
-    invariant, PSD, with maximal support among invariant states."""
-    rho = unvec(data.apply_ergodic_adjoint(vec(np.eye(d) / d)), d)
-    rho = hermitize(rho)
-    tr = float(np.trace(rho).real)
-    if tr <= tol.rank_tol:
-        raise ConvergenceError(
-            "predual ergodic projection lost all trace; no invariant state "
-            "found (impossible for a valid unital model)")
-    rho = rho / tr
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs[0] < -100 * tol.alg_tol:
-        raise ConvergenceError(
-            f"ergodic state is not PSD (min eig {eigs[0]:.3g})")
-    # clip round-off negatives so downstream range projections are clean
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    rho = vecs @ np.diag(vals) @ dagger(vecs)
-    return hermitize(rho / np.trace(rho).real)
-
-
-def _corner_state(model, p_obj, tol):
-    """Reduce to a sub-harmonic corner and split it once.  Returns the
-    reduced model, its invariant state of maximal support (in corner
-    coordinates) and that state's rank."""
-    reduced = reduce_model(model, p_obj, tol)
-    rho = _predual_ergodic_state(_derived(reduced, tol).split, reduced.dim,
-                                 tol)
-    return reduced, rho, range_projection(rho, tol).rank
-
-
-def corner_invariant_state(model, p, tol=DEFAULT_TOL):
-    """Invariant state of maximal support inside a sub-harmonic corner,
-    lifted back to the full space.  Returns (state_matrix, support_rank).
-    """
-    p_obj = as_projection(p, tol)
-    reduced, rho_corner, support_rank = _corner_state(model, p_obj, tol)
-    if reduced is model:
-        rho_full = rho_corner
-    elif model.kind == "stochastic":
-        support = sorted(p_obj.diagonal_support())
-        rho_full = np.zeros((model.dim, model.dim), dtype=complex)
-        rho_full[np.ix_(support, support)] = rho_corner
-    else:
-        basis = projection_basis(p_obj, tol)
-        rho_full = basis @ rho_corner @ dagger(basis)
-    return hermitize(rho_full), support_rank
-
-
 def _hermitian_fixed_basis(columns, d, tol):
     """Orthonormal hermitian basis of the span of vectorized d x d
     matrices (the columns), a span closed under the adjoint."""
@@ -167,8 +117,6 @@ def invariant_states(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     its recurrent projection inside :func:`resolve`; it is checked here
     for invariance under the predual, the adjoint of S, and for a
     sub-harmonic support, which is returned alongside it."""
-    from .resolution import resolve
-
     d = model.dim
     rec = _derived(model, tol)
     basis = _hermitian_fixed_basis(dagger(rec.split.ergodic_rows), d, tol)
@@ -212,6 +160,7 @@ def strong_ergodicity_check(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     horizon with one predual propagator, the adjoint of the model's
     Heisenberg horizon propagator; a disagreement raises.
     """
+    rng = np.random.default_rng(seed_sequence(seed))
     rec = _derived(model, tol)
     data = rec.split
     simple = int(data.multiplicities[data.ergodic_index]) == 1
@@ -225,7 +174,6 @@ def strong_ergodicity_check(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
             _predual_ergodic_state(data, model.dim, tol), tol)
         prop, leftover = rec.horizon
         prop = dagger(prop)
-        rng = np.random.default_rng(seed_sequence(seed))
         gate = max(tol.alg_tol, 100.0 * leftover)
         d = model.dim
         for _ in range(5):
@@ -246,20 +194,19 @@ def ergodicity_reduction_equivalence(model, p, tol=DEFAULT_TOL,
     support of an invariant state.
 
     When the limit operator of the support is the identity the two
-    verdicts must coincide; otherwise the equivalence is vacuous.
+    verdicts must coincide; otherwise the equivalence is vacuous.  Only the
+    reduced verdict splits the corner, as a second route.
     ``full`` is the model's own report from
     ``strong_ergodicity_check(model, tol, seed)`` when the caller already
     holds it; otherwise that check runs here.
     """
-    from .resolution import is_transient_complement
-
     p_obj = as_projection(p, tol)
     verdict = is_subharmonic(model, p_obj, tol)
     if not verdict.verdict:
         raise StructuralError(
             "p must be the support of an invariant state; it is not even "
             f"sub-harmonic (residual {verdict.residual:.3g})")
-    reduced_model, _, support_rank = _corner_state(model, p_obj, tol)
+    _, support_rank = corner_invariant_state(model, p_obj, tol)
     if support_rank != p_obj.rank:
         raise StructuralError(
             "p is not the support of an invariant state (maximal invariant "
@@ -268,7 +215,8 @@ def ergodicity_reduction_equivalence(model, p, tol=DEFAULT_TOL,
 
     if full is None:
         full = strong_ergodicity_check(model, tol, seed)
-    reduced = strong_ergodicity_check(reduced_model, tol, seed).holds
+    reduced = strong_ergodicity_check(
+        reduce_model(model, p_obj, tol), tol, seed).holds
     y_is_one = is_transient_complement(model, p_obj, tol).transient
     consistent = (not y_is_one) or (full.holds == reduced)
     return ReductionEquivalence(full=full.holds, reduced=reduced,

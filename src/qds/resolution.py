@@ -26,9 +26,9 @@ from .models import DEFAULT_SEED, DEFAULT_TOL, KIND_STOCHASTIC
 # benchmark's tracing test calls it through this module.
 from .models import heisenberg_superoperator  # noqa: F401
 from .projections import (
-    Projection, as_projection, is_subharmonic, projection_basis,
+    Projection, as_projection, is_harmonic, is_subharmonic, projection_basis,
 )
-from .spectral import _derived, asymptotic_operator
+from .spectral import _derived, asymptotic_operator, corner_invariant_state
 
 __all__ = [
     "Classification", "ClassificationCertificate", "ResolutionResult",
@@ -226,7 +226,8 @@ def classify_projection(model, p, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     not sub-harmonic -> ``not_subharmonic``; sub-harmonic but containing
     a strictly smaller invariant subspace -> ``subharmonic_nonminimal``;
     minimal -> ``positive_recurrent`` when an invariant state with
-    support exactly p exists.  Null recurrence cannot occur at finite
+    support exactly p exists, read off the model's own split by
+    :func:`corner_invariant_state`.  Null recurrence cannot occur at finite
     dimension; hitting it raises instead of returning.
     """
     p_obj = as_projection(p, tol)
@@ -250,8 +251,6 @@ def classify_projection(model, p, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
         complement_metastable=trans.metastable)
     if smaller is not None:
         return Classification(label=LABEL_SUBHARMONIC_NONMINIMAL, certificate=cert)
-
-    from .ergodicity import corner_invariant_state
 
     state, support_rank = corner_invariant_state(model, p_obj, tol)
     if support_rank != p_obj.rank:
@@ -436,8 +435,6 @@ def find_harmonic_projection(model, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     the commutant holds only the scalars.  The witness must also pass
     :func:`is_harmonic`, which applies the dynamics itself.
     """
-    from .projections import is_harmonic
-
     basis = _commutant_basis(model, tol)
     if basis.shape[1] <= 1:
         return None

@@ -141,15 +141,20 @@ def model_from_json(obj, path="$"):
                         sub_markov=bool(obj.get("sub_markov", False)))
 
 
-def load_model(path):
+def _read_json(path):
+    """The decoded JSON document at ``path``; an unreadable file or
+    malformed JSON raises :class:`StructuralError` naming the path."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}: invalid JSON ({exc})") from exc
     except OSError as exc:
         raise StructuralError(f"{path}: {exc}") from exc
-    return model_from_json(obj)
+
+
+def load_model(path):
+    return model_from_json(_read_json(path))
 
 
 def dump_model(model, path):
@@ -161,13 +166,7 @@ def dump_model(model, path):
 def load_matrix(path):
     """Load a bare matrix file (rows of [re, im] pairs, optionally wrapped
     in {"matrix": ...})."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"{path}: invalid JSON ({exc})") from exc
-    except OSError as exc:
-        raise StructuralError(f"{path}: {exc}") from exc
+    obj = _read_json(path)
     if isinstance(obj, dict) and "matrix" in obj:
         return decode_matrix(obj["matrix"], "$.matrix")
     return decode_matrix(obj, "$")

@@ -44,7 +44,7 @@ from .models import (
 )
 
 __all__ = ["SpectralData", "spectral_split", "evolve_heisenberg",
-           "evolve_predual", "asymptotic_operator"]
+           "evolve_predual", "asymptotic_operator", "corner_invariant_state"]
 
 # Radius used to group eigenvalues into clusters and to detect the
 # peripheral set; pure numerics, independent of the user tolerances.
@@ -406,3 +406,53 @@ def _step_map(model, x, tol):
     """One comparison step of the dynamics: a single application for
     discrete models, time 1/(1+||L||) for continuous ones."""
     return _apply(_derived(model, tol).step, x, model.dim, tol)
+
+
+def _predual_ergodic_state(data, d, tol):
+    """E^+ vec(1/d), the invariant state of maximal support."""
+    return _predual_limit_state(data, np.eye(d) / d, tol)
+
+
+def _predual_limit_state(data, rho0, tol):
+    """E^+ vec(rho0) for a state rho0, renormalised to trace one, checked
+    PSD and with round-off negatives clipped so that downstream range
+    projections are clean."""
+    d = rho0.shape[0]
+    rho = hermitize(unvec(data.apply_ergodic_adjoint(vec(rho0)), d))
+    tr = float(np.trace(rho).real)
+    if tr <= tol.rank_tol:
+        raise ConvergenceError(
+            "predual ergodic projection lost all trace; no invariant state "
+            "found (impossible for a valid unital model)")
+    rho = rho / tr
+    vals, vecs = np.linalg.eigh(rho)
+    if vals[0] < -100 * tol.alg_tol:
+        raise ConvergenceError(
+            f"ergodic state is not PSD (min eig {vals[0]:.3g})")
+    rho = vecs @ np.diag(np.clip(vals, 0.0, None)) @ dagger(vecs)
+    return hermitize(rho / np.trace(rho).real)
+
+
+def corner_invariant_state(model, p, tol=DEFAULT_TOL):
+    """(state, support rank) of the invariant state of maximal support
+    below a sub-harmonic p: E^+ (p / rank p) on the model's one split.
+    The predual keeps states on p, as tr(tau_*(s)(1 - p)) =
+    tr(s tau(1 - p)) <= tr(s(1 - p)) = 0; a limit leaving p by more than
+    ``alg_tol`` raises, and is otherwise compressed to p exactly.
+    """
+    from .projections import as_projection, range_projection
+
+    p_obj = as_projection(p, tol)
+    if p_obj.rank == 0:
+        raise StructuralError("the zero projection carries no state")
+    p_mat = p_obj.matrix
+    rho = _predual_limit_state(_derived(model, tol).split,
+                               p_mat / p_obj.rank, tol)
+    inside = p_mat @ rho @ p_mat
+    leak = spectral_norm(rho - inside)
+    if leak > tol.alg_tol:
+        raise CrossCheckError(
+            "invariant state leaves its sub-harmonic corner (norm "
+            f"{leak:.3g} outside p)")
+    rho = hermitize(inside) / np.trace(inside).real
+    return rho, range_projection(rho, tol).rank

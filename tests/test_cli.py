@@ -232,6 +232,24 @@ class TestCommands:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("role", ["model", "operator"])
+    @pytest.mark.parametrize("fault", ["missing", "malformed"])
+    def test_unreadable_input_names_its_path(self, capsys, tmp_path, role,
+                                             fault):
+        bad = tmp_path / "bad.json"
+        if fault == "malformed":
+            bad.write_text('{"dim": 2, "kind": ')
+        x = write_matrix(tmp_path, "x.json", np.diag([1.0, 0.0]))
+        model = FIXTURES / "dephasing.json"
+        argv = (["evolve", bad, x] if role == "model"
+                else ["evolve", model, bad]) + ["--t", 0.5]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ")
+        if fault == "malformed":
+            assert "invalid JSON" in err
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "check",
                                FIXTURES / "amplitude_damping.json",

@@ -277,3 +277,30 @@ class TestHeldFullVerdict:
         # the full model once, then one reduced corner per invariant state
         assert len(checked) == 1 + len(states)
         assert all(m.dim == 1 for m in checked[1:])
+
+
+class TestSeedArguments:
+    """A seed is a non-negative integer or a SeedSequence; anything else is
+    a structural error at every entry point that takes one."""
+
+    ENTRY_POINTS = (resolve, strong_ergodicity_check, invariant_states)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS,
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("seed", [-3, 2.5, True, "7", None])
+    def test_bad_seed_is_structural(self, amplitude_damping, dephasing,
+                                    entry, seed):
+        # dephasing is not strongly ergodic: its check draws no random
+        # states, and the seed is refused all the same
+        for model in (amplitude_damping, dephasing):
+            with pytest.raises(StructuralError, match="seed must be"):
+                entry(model, seed=seed)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS,
+                             ids=lambda f: f.__name__)
+    def test_seed_sequence_is_accepted(self, amplitude_damping, entry):
+        seeds = [np.random.SeedSequence(4), 4, np.int64(4)]
+        results = [entry(amplitude_damping, seed=s) for s in seeds]
+        if entry is resolve:
+            got = [r.recurrent_projections[0].matrix for r in results]
+            assert all(np.array_equal(got[0], g) for g in got)

@@ -7,21 +7,31 @@ from hypothesis import given, settings, strategies as st
 
 import qds.projections
 import qds.resolution
-from qds.errors import StructuralError
-from qds.models import kraus_model, lindblad_model, stochastic_model
-from qds.projections import Projection, is_harmonic, range_projection
+import qds.spectral
+from qds.ergodicity import corner_invariant_state, invariant_states
+from qds.errors import CrossCheckError, StructuralError
+from qds.models import (
+    DEFAULT_TOL, heisenberg_superoperator, kraus_model, lindblad_model,
+    stochastic_model,
+)
+from qds.projections import (
+    Projection, is_harmonic, projection_basis, range_projection, reduce_model,
+)
 from qds.rand import (
     random_block_diagonal_kraus, random_block_diagonal_lindblad,
     random_hermitian, random_kraus_model, random_kraus_with_invariant_subspace,
     random_lindblad_model, random_lindblad_with_invariant_subspace,
-    random_stochastic_matrix, structured_stochastic_matrix,
+    random_stochastic_matrix, random_unitary, structured_stochastic_matrix,
 )
 from qds.resolution import (
     classify_projection, commutant_dimension, find_harmonic_projection,
     is_irreducible, is_transient_complement, minimal_subharmonic,
     reachability_closure, resolve,
 )
-from qds.spectral import asymptotic_operator, evolve_heisenberg
+from qds.spectral import (
+    _predual_ergodic_state, asymptotic_operator, evolve_heisenberg,
+    spectral_split,
+)
 
 from conftest import dag
 
@@ -390,3 +400,70 @@ class TestEachLimitOnce:
             "closed_classes": [[0], [2]], "resolved_transient": [1],
             "transient_states": [1]}
         assert resolve(amplitude_damping, seed=1).classical_comparison is None
+
+
+def _corner_state_by_reduction(model, p):
+    """The route the split's E^+ replaced: reduce the model to p, split the
+    reduced model, and lift its state back to the full space."""
+    reduced = reduce_model(model, p)
+    rho = _predual_ergodic_state(
+        spectral_split(heisenberg_superoperator(reduced)), reduced.dim,
+        DEFAULT_TOL)
+    rank = range_projection(rho).rank
+    if reduced is model:
+        return rho, rank
+    if model.kind == "stochastic":
+        support = sorted(p.diagonal_support())
+        full = np.zeros((model.dim, model.dim), dtype=complex)
+        full[np.ix_(support, support)] = rho
+        return full, rank
+    basis = projection_basis(p)
+    return basis @ rho @ dag(basis), rank
+
+
+class TestCornerState:
+    """Each part's invariant state is E^+ (p / rank p) on the model's own
+    split; reducing the model to p and splitting the corner is the
+    reference."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(("kraus", "lindblad", "chain", "rotated")))
+    def test_state_matches_the_reduced_corner(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "rotated":
+            # a full-rank projection that is the identity up to round-off
+            chain = rng.random((3, 3))
+            model = (random_kraus_model(rng, 3), random_lindblad_model(rng, 3),
+                     stochastic_model(chain / chain.sum(axis=1, keepdims=True))
+                     )[seed % 3]
+            parts = [Projection.from_basis(random_unitary(rng, 3))]
+        else:
+            model = _model_with_remainder(kind, rng)
+            parts = resolve(model, seed=seed).recurrent_projections
+        for p in parts:
+            got, rank = corner_invariant_state(model, p)
+            want, want_rank = _corner_state_by_reduction(model, p)
+            assert rank == want_rank == p.rank
+            assert np.linalg.norm(got - want, 2) <= 1e-12
+            assert np.array_equal(got, dag(got))
+
+    def test_resolve_splits_the_model_once(self, monkeypatch):
+        counts = collections.Counter()
+        _counting(monkeypatch, counts, qds.spectral, "spectral_split")
+        rng = np.random.default_rng(29)
+        for kind in ("kraus", "lindblad", "chain"):
+            counts.clear()
+            model = _model_with_remainder(kind, rng)
+            res = resolve(model)
+            assert all(p.rank < model.dim for p in res.recurrent_projections)
+            assert counts["spectral_split"] == 1
+            invariant_states(model)
+            assert counts["spectral_split"] == 1
+
+    def test_a_state_leaving_p_is_refused(self, amplitude_damping):
+        # the excited state is not sub-harmonic: its limit is the ground state
+        with pytest.raises(CrossCheckError, match="leaves its sub-harmonic"):
+            corner_invariant_state(amplitude_damping, np.diag([0.0, 1.0]))
+        with pytest.raises(StructuralError, match="zero projection"):
+            corner_invariant_state(amplitude_damping, Projection.zero(2))
