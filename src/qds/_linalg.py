@@ -16,6 +16,10 @@ U^+ M U, U C U^+ and U C as O(d^4) gathers on index arrays cached per d,
 with no dense U: every column of U has at most two nonzeros.  Where two
 factors 1/sqrt(2) meet, their product is applied as exactly 1/2, so the
 identity and a diagonal (embedded chain) map transform bit-exactly.
+
+:func:`expm` (the matrix exponential, by scaling and squaring with a Pade
+approximant) and :func:`reachability` (the transitive closure of a
+digraph) are written on numpy, the package's only runtime dependency.
 """
 
 import functools
@@ -29,16 +33,23 @@ __all__ = [
     "dagger", "hermitize", "vec", "unvec", "spectral_norm", "trace_norm",
     "min_eig", "is_hermitian", "as_complex_matrix", "orthonormal_columns",
     "invariant_closure", "seed_sequence", "to_hermitian_basis",
-    "from_hermitian_basis", "hermitian_basis_columns",
+    "from_hermitian_basis", "hermitian_basis_columns", "expm",
+    "reachability",
 ]
 
 _HALF_ROOT = math.sqrt(0.5)
 
 
 def seed_sequence(seed):
-    """A non-negative integer or a SeedSequence seed, as a SeedSequence."""
+    """A non-negative integer or a SeedSequence seed, as a SeedSequence.
+
+    A SeedSequence is copied, so spawning from the result leaves the
+    caller's object as it was and the same seed gives the same run twice.
+    """
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
+            n_children_spawned=seed.n_children_spawned)
     if (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
             and seed >= 0):
         return np.random.SeedSequence(int(seed))
@@ -144,6 +155,20 @@ def invariant_closure(generators, start_basis, rank_tol):
     return basis
 
 
+def reachability(edges):
+    """Reflexive-transitive closure of a boolean d x d adjacency matrix:
+    entry (i, j) says that j is reachable from i in zero or more steps.
+    The adjacency plus the identity, squared until it stops changing:
+    about log2(L) squarings when the longest shortest path has L steps."""
+    reach = np.asarray(edges, dtype=bool) | np.eye(len(edges), dtype=bool)
+    while True:
+        step = reach.astype(float)
+        wider = step @ step > 0.0
+        if np.array_equal(wider, reach):
+            return reach
+        reach = wider
+
+
 @functools.lru_cache(maxsize=64)
 def _hermitian_basis(d):
     """Index arrays and factors of U for dimension d.
@@ -213,3 +238,63 @@ def hermitian_basis_columns(c):
     k = c * rows.conj()[:, None]
     _mix_rows(k, d)
     return k.take(inverse, 0)
+
+
+# Degree m -> (theta_m, Pade coefficients b_0..b_m): the [m/m] approximant
+# of exp has backward error below the unit roundoff of double precision
+# for ||A||_1 <= theta_m (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+_PADE = {
+    3: (1.495585217958292e-2, (120., 60., 12., 1.)),
+    5: (2.539398330063230e-1, (30240., 15120., 3360., 420., 30., 1.)),
+    7: (9.504178996162932e-1, (17297280., 8648640., 1995840., 277200.,
+                               25200., 1512., 56., 1.)),
+    9: (2.097847961257068e0, (17643225600., 8821612800., 2075673600.,
+                              302702400., 30270240., 2162160., 110880.,
+                              3960., 90., 1.)),
+    13: (5.371920351148152e0, (
+        64764752532480000., 32382376266240000., 7771770303897600.,
+        1187353796428800., 129060195264000., 10559470521600.,
+        670442572800., 33522128640., 1323241920., 40840800., 960960.,
+        16380., 182., 1.)),
+}
+
+
+def expm(a):
+    """Matrix exponential of a square matrix; real input gives a real
+    result.
+
+    Scaling and squaring (Higham 2005): the lowest Pade degree m in
+    {3, 5, 7, 9} whose theta_m bounds ||A||_1, else degree 13 on
+    A / 2^s with the least s that brings the norm under theta_13, and
+    the approximant squared s times.  r_m = (V - U)^-1 (V + U), with U
+    and V the odd and even parts of the numerator.
+    """
+    a = np.asarray(a)
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise StructuralError("expm: entries must be finite")
+    m = next((k for k in (3, 5, 7, 9) if norm <= _PADE[k][0]), 13)
+    s = 0
+    if m == 13 and norm > _PADE[13][0]:
+        s = math.ceil(math.log2(norm / _PADE[13][0]))
+        a = a * 2.0 ** -s
+    b = _PADE[m][1]
+    ident = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    else:
+        powers = [ident, a2]
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r

@@ -7,14 +7,17 @@ diagonal observables is f -> P f.  Closed communicating classes of the
 chain are exactly the supports of the recurrent projections of the
 embedded channel, and the transient states are the support of the
 metastable remainder -- :func:`support_comparison` checks that equality.
+
+The oracle needs no graph library: the communicating classes are the sets
+of mutually reachable states of the transition digraph, read off the
+transitive closure of its adjacency matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph as csgraph
 
+from ._linalg import reachability
 from .errors import StructuralError
 from .models import (
     DEFAULT_SEED, DEFAULT_TOL, kraus_model, stochastic_kraus_ops,
@@ -60,25 +63,30 @@ def stochastic_to_channel(p, tol=DEFAULT_TOL):
 
 
 def classical_classify(p, tol=DEFAULT_TOL):
-    """Closed classes and transient states via strongly connected
-    components of the transition digraph."""
+    """Closed classes and transient states of the transition digraph,
+    whose edges are the entries P[i, j] > ``alg_tol``.
+
+    ``reach[i, j]`` says that j is reachable from i in zero or more
+    steps (:func:`qds._linalg.reachability`).  The class of i is the set
+    of states mutually reachable with it, and a class is closed iff no
+    state outside it is reachable from it.
+    """
     p = _check_stochastic(p, tol)
     d = p.shape[0]
-    adjacency = scipy.sparse.csr_matrix(p > tol.alg_tol)
-    n_comp, labels = csgraph.connected_components(
-        adjacency, directed=True, connection="strong")
-    members = [np.flatnonzero(labels == c) for c in range(n_comp)]
+    reach = reachability(p > tol.alg_tol)
+    mutual = reach & reach.T
     closed = []
     transient = set()
-    for c in range(n_comp):
-        inside = members[c]
-        mask = np.zeros(d, dtype=bool)
-        mask[inside] = True
-        leaves = np.any(p[np.ix_(inside, ~mask)] > tol.alg_tol)
-        if leaves:
-            transient.update(int(i) for i in inside)
+    placed = np.zeros(d, dtype=bool)
+    for i in range(d):
+        if placed[i]:
+            continue
+        placed |= mutual[i]
+        members = frozenset(int(j) for j in np.flatnonzero(mutual[i]))
+        if np.array_equal(reach[i], mutual[i]):
+            closed.append(members)
         else:
-            closed.append(frozenset(int(i) for i in inside))
+            transient.update(members)
     closed.sort(key=lambda s: sorted(s))
     return ChainClassification(closed_classes=tuple(closed),
                                transient_states=frozenset(transient))

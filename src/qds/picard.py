@@ -8,6 +8,8 @@ The n-th iterate is
 with E(t) = exp(tY) and Phi(x) = sum_k L_k^+ x L_k.  For PSD x the
 iterates increase monotonically to the semigroup, which provides an
 independent construction to validate the superoperator exponential.
+Both exponentials, the d x d E(h) on the grid and the d^2 x d^2 one it is
+compared with, come from :func:`qds._linalg.expm`.
 
 The integral is evaluated by fourth-order composite quadrature on a
 uniform grid (Simpson, with a 3/8 block for odd prefixes and a single
@@ -18,9 +20,8 @@ grid and reused, so one level costs O(steps^2) small matrix products.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from ._linalg import dagger, hermitize, spectral_norm
+from ._linalg import dagger, expm, hermitize, spectral_norm
 from .errors import ConvergenceError, StructuralError
 from .models import DEFAULT_TOL, KIND_LINDBLAD
 from .spectral import check_time, evolve_heisenberg
@@ -102,7 +103,7 @@ class _PicardGrid:
         self.jumps = list(model.lindblad_ops)
 
         d = model.dim
-        e_step = scipy.linalg.expm(self.h * model.drift)
+        e_step = expm(self.h * model.drift)
         cells = [np.eye(d, dtype=complex)]
         for _ in range(self.steps):
             cells.append(cells[-1] @ e_step)

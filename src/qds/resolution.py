@@ -353,7 +353,7 @@ def resolve(model, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
         recurrent_projections=tuple(parts), metastable_remainder=q,
         y_total=trans.y, certificates=tuple(certificates),
         remainder_certificate=remainder_certificate,
-        seed=seed if isinstance(seed, int) else -1)
+        seed=int(seed) if isinstance(seed, (int, np.integer)) else -1)
     if model.kind == KIND_STOCHASTIC:
         comparison = _cross_check_classical(model, result, tol)
         result = replace(result, classical_comparison=comparison)

@@ -12,9 +12,10 @@ classical chain has a zero eigenvalue of multiplicity about d^2 - d, and
 an eigenbasis inverse then loses the kernel of the projection.
 
 Every d^2-sized factorization (the split's ``eig`` and SVD, the
-propagators' ``expm`` and ``matrix_power``) runs on A = U^+ S U, S in the
-orthonormal hermitian operator basis U of :mod:`qds._linalg`
-(:attr:`Superoperator.hermitian_basis_matrix`).  The maps of a quantum
+propagators' exponential :func:`qds._linalg.expm` and ``matrix_power``)
+runs on A = U^+ S U, S in the orthonormal hermitian operator basis U of
+:mod:`qds._linalg` (:attr:`Superoperator.hermitian_basis_matrix`), with
+numpy alone.  The maps of a quantum
 dynamical semigroup preserve adjoints, so A is real and numpy dispatches
 to the real LAPACK drivers; A is taken as real when max |Im A| <= 1e-14
 max |A|, which every Kraus, Lindblad and chain matrix meets, and anything
@@ -31,10 +32,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import (
-    dagger, from_hermitian_basis, hermitian_basis_columns, hermitize,
+    dagger, expm, from_hermitian_basis, hermitian_basis_columns, hermitize,
     spectral_norm, unvec, vec,
 )
 from .errors import ConvergenceError, CrossCheckError, StructuralError
@@ -239,7 +239,7 @@ def _propagator(superop, model, t=None, n=None):
             raise StructuralError("continuous-time model: pass t")
         check_time(t)
         return from_hermitian_basis(
-            scipy.linalg.expm(float(t) * superop.hermitian_basis_matrix))
+            expm(float(t) * superop.hermitian_basis_matrix))
     if n is None:
         raise StructuralError("discrete-time model: pass n")
     check_time(n)

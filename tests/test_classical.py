@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph as csgraph
+from hypothesis import given, settings, strategies as st
 
 from qds.classical import (
     classical_classify, compare_resolutions, stochastic_to_channel,
 )
 from qds.errors import StructuralError
-from qds.models import apply_map, heisenberg_superoperator
+from qds.models import DEFAULT_TOL, apply_map, heisenberg_superoperator
 from qds.projections import Projection, is_subharmonic
 from qds.rand import random_stochastic_matrix, structured_stochastic_matrix
 
@@ -97,6 +100,71 @@ class TestClassify:
                     closed = not np.any(p[np.ix_(mask, ~mask)] > 1e-8)
                     proj = Projection.onto_states(d, subset)
                     assert is_subharmonic(model, proj).verdict == closed
+
+
+def _scc_oracle(p, tol):
+    """Closed classes and transient states from scipy's strongly connected
+    components of the edges P[i, j] > tol: a component is closed iff no
+    edge leaves it."""
+    edges = p > tol
+    n_comp, labels = csgraph.connected_components(
+        scipy.sparse.csr_matrix(edges), directed=True, connection="strong")
+    closed, transient = [], set()
+    for c in range(n_comp):
+        inside = labels == c
+        members = frozenset(int(i) for i in np.flatnonzero(inside))
+        if np.any(edges[np.ix_(inside, ~inside)]):
+            transient |= members
+        else:
+            closed.append(members)
+    return sorted(closed, key=sorted), frozenset(transient)
+
+
+def _random_chain(rng, kind):
+    d = int(rng.integers(1, 11))
+    if kind == "structured" and d >= 3:
+        n_transient = int(rng.integers(1, d - 1))
+        n_classes = int(rng.integers(1, d - n_transient + 1))
+        return structured_stochastic_matrix(rng, d, n_classes, n_transient)
+    if kind == "sparse":
+        return random_stochastic_matrix(rng, d, 1, min(d, 2))
+    return random_stochastic_matrix(rng, d)
+
+
+class TestClassifyAgainstSCC:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["structured", "sparse", "dense"]))
+    def test_matches_strongly_connected_components(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        p = _random_chain(rng, kind)
+        d = p.shape[0]
+        # entries at or below alg_tol are not edges in either route
+        tiny = (rng.random((d, d)) < 0.2) & (p == 0.0)
+        p = p + tiny * DEFAULT_TOL.alg_tol * rng.uniform(0.1, 1.0, (d, d))
+        p = p / p.sum(axis=1, keepdims=True)
+        perm = rng.permutation(d)
+        for chain in (p, p[np.ix_(perm, perm)]):
+            got = classical_classify(chain)
+            closed, transient = _scc_oracle(chain, DEFAULT_TOL.alg_tol)
+            assert list(got.closed_classes) == closed
+            assert got.transient_states == transient
+
+    def test_single_state(self):
+        got = classical_classify(np.ones((1, 1)))
+        assert got.closed_classes == (frozenset({0}),)
+        assert got.transient_states == frozenset()
+
+    def test_long_path_into_an_absorbing_state(self):
+        # reachability needs about log2(d) squarings along a path
+        d = 40
+        p = np.zeros((d, d))
+        p[np.arange(d - 1), np.arange(1, d)] = 1.0
+        p[d - 1, d - 1] = 1.0
+        got = classical_classify(p)
+        assert got.closed_classes == (frozenset({d - 1}),)
+        assert got.transient_states == frozenset(range(d - 1))
 
 
 class TestCompareResolutions:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -298,3 +301,74 @@ class TestDeterminism:
             doc.pop("seed")
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] != outs[1]
+
+
+SRC = FIXTURES.parent / "src"
+
+# Blocks scipy, runs each argv of the JSON list in argv[1] through
+# qds.cli.main, and prints [code, stdout, stderr] per run and the scipy
+# modules loaded at the end.
+_BLOCKED_DRIVER = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from qds.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+loaded = sorted(m for m, mod in sys.modules.items()
+                if m.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps({"runs": runs, "scipy": loaded}))
+"""
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]]
+                      if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, *args], env=env, cwd=SRC.parent,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _without_timing(text):
+    if not text:
+        return text
+    doc = json.loads(text)
+    doc.pop("timing_ms")
+    return doc
+
+
+class TestNumpyOnly:
+    def test_fresh_import_loads_no_scipy(self):
+        out = _python("-c", "import sys, qds.cli; print(sorted(m for m in "
+                      "sys.modules if m.split('.')[0] == 'scipy'))")
+        assert out.strip() == "[]"
+
+    def test_every_command_runs_with_scipy_blocked(self, capsys, tmp_path):
+        argvs = []
+        for path in sorted(FIXTURES.glob("*.json")):
+            model = load_model(path)
+            d = model.dim
+            x = write_matrix(tmp_path, f"x{d}.json",
+                             np.diag([1.0] + [0.0] * (d - 1)))
+            time = (["--t", "0.5"] if model.kind == "lindblad"
+                    else ["--n", "3"])
+            for argv in (["check", path], ["classify", path, x],
+                         ["resolve", path], ["evolve", path, x, *time],
+                         ["picard", path, x, "--t", "0.5", "--steps", "16"],
+                         ["ergodic", path]):
+                argvs.append([str(a) for a in argv])
+        blocked = json.loads(_python("-c", _BLOCKED_DRIVER, json.dumps(argvs)))
+        assert blocked["scipy"] == []
+        codes = set()
+        for argv, (code, out, err) in zip(argvs, blocked["runs"], strict=True):
+            want = run_cli(capsys, *argv)
+            assert code == want[0], argv
+            assert _without_timing(out) == _without_timing(want[1]), argv
+            assert err == want[2], argv
+            codes.add(code)
+        assert codes == {0, 2}  # picard refuses the discrete models

@@ -1,18 +1,22 @@
 """The block-Krylov invariant closure against the Gram-Schmidt closure it
 replaced, on seeded Kraus, Lindblad, chain-edge and identity families; the
-hermitian operator basis against its dense definition."""
+hermitian operator basis against its dense definition; the Pade
+exponential against ``scipy.linalg.expm``."""
 
 import numpy as np
+import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from qds._linalg import (
-    dagger, from_hermitian_basis, hermitian_basis_columns, invariant_closure,
-    orthonormal_columns, to_hermitian_basis, vec,
+    dagger, expm, from_hermitian_basis, hermitian_basis_columns,
+    invariant_closure, orthonormal_columns, to_hermitian_basis, vec,
 )
+from qds.errors import StructuralError
 from qds.models import (
-    heisenberg_superoperator, predual_superoperator, stochastic_kraus_ops,
-    stochastic_model,
+    DEFAULT_TOL, heisenberg_superoperator, predual_superoperator,
+    stochastic_kraus_ops, stochastic_model,
 )
 from qds.rand import (
     random_block_diagonal_kraus, random_block_diagonal_lindblad,
@@ -20,6 +24,7 @@ from qds.rand import (
     random_lindblad_model, random_lindblad_with_invariant_subspace,
     random_stochastic_matrix, structured_stochastic_matrix,
 )
+from qds.spectral import _derived, _horizon
 
 RANK_TOL = 1e-9
 
@@ -189,3 +194,56 @@ def test_superoperators_are_real_in_the_hermitian_basis(seed, kind):
         dist = np.abs(got[:, None] - want[None, :])
         rows, cols = linear_sum_assignment(dist)
         assert dist[rows, cols].max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def _relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+       log_norm=st.floats(-3.0, 3.0), complex_entries=st.booleans())
+def test_expm_matches_scipy_on_random_matrices(seed, n, log_norm,
+                                               complex_entries):
+    # shifted so that no eigenvalue has a positive real part (exp(A) then
+    # stays finite at ||A||_1 = 1e3), then scaled to the drawn 1-norm
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    if complex_entries:
+        a = a + 1j * rng.standard_normal((n, n))
+    a = a - (np.linalg.eigvals(a).real.max() + 1.0) * np.eye(n)
+    a = a * (10.0 ** log_norm / np.abs(a).sum(axis=0).max())
+    got = expm(a)
+    want = scipy.linalg.expm(a)
+    assert got.dtype == want.dtype == a.dtype
+    assert _relative_error(got, want) <= 1e-11
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["lindblad", "lindblad-blocks"]))
+def test_expm_matches_scipy_on_lindblad_generators(seed, kind):
+    # the propagators' exponentials: t A on the hermitian-basis generator,
+    # t from 1e-3 up to the split's horizon
+    rng = np.random.default_rng(seed)
+    rec = _derived(_random_model(kind, rng), DEFAULT_TOL)
+    a = rec.superop.hermitian_basis_matrix
+    _, horizon, _ = _horizon(rec.split, DEFAULT_TOL)
+    for t in np.geomspace(1e-3, max(horizon, 1e-3), 5):
+        got = expm(t * a)
+        assert np.isrealobj(got)
+        assert _relative_error(got, scipy.linalg.expm(t * a)) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 16])
+def test_expm_of_zero_is_exactly_the_identity(n, dtype):
+    got = expm(np.zeros((n, n), dtype=dtype))
+    assert got.dtype == dtype
+    assert np.array_equal(got, np.eye(n))
+
+
+def test_expm_rejects_non_finite_entries():
+    with pytest.raises(StructuralError, match="finite"):
+        expm(np.array([[0.0, np.inf], [0.0, 0.0]]))
+

@@ -188,6 +188,25 @@ class TestResolve:
                   zip(r1.recurrent_projections, r2.recurrent_projections))
         assert gap > 1e-6
 
+    def test_a_seed_sequence_gives_the_same_parts_twice(self,
+                                                        identity_channel):
+        ss = np.random.SeedSequence(4)
+        runs = [resolve(identity_channel, seed=ss) for _ in range(2)]
+        want = resolve(identity_channel, seed=4)
+        for res in runs:
+            for got, ref in zip(res.recurrent_projections,
+                                want.recurrent_projections):
+                assert np.array_equal(got.matrix, ref.matrix)
+        part = minimal_subharmonic(identity_channel, Projection.identity(2),
+                                   seed=ss)
+        assert np.array_equal(part.matrix, minimal_subharmonic(
+            identity_channel, Projection.identity(2), seed=4).matrix)
+        assert ss.n_children_spawned == 0
+
+    def test_a_numpy_integer_seed_is_recorded(self, identity_channel):
+        res = resolve(identity_channel, seed=np.int64(4))
+        assert res.seed == 4 and type(res.seed) is int
+
     def test_invariants_on_random_models(self):
         rng = np.random.default_rng(61)
         models = []

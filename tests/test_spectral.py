@@ -8,9 +8,9 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from qds._linalg import unvec, vec
+from qds import spectral
+from qds._linalg import expm, unvec, vec
 from qds.ergodicity import _predual_ergodic_state, invariant_states
 from qds.errors import ConvergenceError, StructuralError
 from qds.models import (
@@ -267,7 +267,7 @@ class TestEvolution:
         # dense exponential vs truncated series at small time
         s = heisenberg_superoperator(dephasing)
         for t in (0.01, 0.05, 0.1):
-            direct = scipy.linalg.expm(t * s.matrix)
+            direct = expm(t * s.matrix)
             series = expm_series(t * s.matrix)
             assert np.linalg.norm(direct - series, 2) <= 1e-10
 
@@ -421,7 +421,7 @@ class TestDerivedMemo:
         model = random_block_diagonal_lindblad(np.random.default_rng(5), [2, 2])
         n = model.dim ** 2
         calls = []
-        for module, name in ((np.linalg, "eig"), (scipy.linalg, "expm")):
+        for module, name in ((np.linalg, "eig"), (spectral, "expm")):
             def counting(a, *args, _real=getattr(module, name), _name=name,
                          **kwargs):
                 if np.shape(a)[0] == n:
