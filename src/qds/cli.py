@@ -6,6 +6,14 @@ in :mod:`qds.serialize`; reports go to stdout or ``--output`` as JSON
 (the machine contract) or text.  Exit codes: 0 success, 1 a false verdict
 under ``--strict``, 2 structural or numerical errors.  The default seed
 comes from ``--seed``, then the ``QDS_SEED`` environment variable.
+
+Each ``cmd_*`` function takes ``(model, args, tol, seed)`` and returns
+``(payload, residuals, verdict)``; it neither times nor reports.
+:func:`main` alone reads the tolerances and the seed, loads the model,
+times the command, builds the one :class:`~qds.serialize.Report` and
+picks the exit code.  The seven shared flags come from one parent
+parser, so a subcommand's ``--help`` lists its own options (``evolve``
+and ``picard``) after them.
 """
 
 import argparse
@@ -34,11 +42,6 @@ __all__ = ["main", "cmd_check", "cmd_classify", "cmd_resolve", "cmd_evolve",
            "cmd_picard", "cmd_ergodic"]
 
 
-def _tolerances(args):
-    return Tolerances(rank_tol=args.rank_tol, alg_tol=args.tol,
-                      conv_tol=args.conv_tol)
-
-
 def _seed(args):
     seed = args.seed
     if seed is None:
@@ -51,12 +54,6 @@ def _seed(args):
     raise StructuralError(
         f"seed (--seed, then QDS_SEED) must be a non-negative integer, "
         f"got {seed!r}")
-
-
-def _report(model, command, seed, tol, payload, residuals, started):
-    return Report(model_hash=model.content_hash(), command=command, seed=seed,
-                  tolerances=tol, payload=payload, residuals=residuals,
-                  timing_ms=(time.perf_counter() - started) * 1e3)
 
 
 def _classification_payload(cls):
@@ -80,10 +77,7 @@ def _classification_payload(cls):
     return out
 
 
-def cmd_check(model_path, args):
-    started = time.perf_counter()
-    tol = _tolerances(args)
-    model = load_model(model_path)
+def cmd_check(model, args, tol, seed):
     report = validate_model(model, tol)
     payload = {
         "ok": report.ok,
@@ -91,17 +85,11 @@ def cmd_check(model_path, args):
                        for it in report.items],
     }
     residuals = {it.name: it.residual for it in report.items}
-    rep = _report(model, "check", _seed(args), tol, payload, residuals, started)
-    return rep, (0 if report.ok or not args.strict else 1)
+    return payload, residuals, report.ok
 
 
-def cmd_classify(model_path, projection_path, args):
-    started = time.perf_counter()
-    tol = _tolerances(args)
-    seed = _seed(args)
-    model = load_model(model_path)
-    p = Projection.from_matrix(load_matrix(projection_path), tol)
-
+def cmd_classify(model, args, tol, seed):
+    p = Projection.from_matrix(load_matrix(args.projection), tol)
     sub = is_subharmonic(model, p, tol)
     harmonic = is_harmonic(model, p, tol)
     cls = classify_projection(model, p, tol, seed=seed)
@@ -128,15 +116,10 @@ def cmd_classify(model_path, projection_path, args):
         residuals["min_eig_y"] = cert.min_eig_y
     else:
         payload["complement"] = None
-    rep = _report(model, "classify", seed, tol, payload, residuals, started)
-    return rep, (0 if sub.verdict or not args.strict else 1)
+    return payload, residuals, sub.verdict
 
 
-def cmd_resolve(model_path, args):
-    started = time.perf_counter()
-    tol = _tolerances(args)
-    seed = _seed(args)
-    model = load_model(model_path)
+def cmd_resolve(model, args, tol, seed):
     res = resolve(model, seed=seed, tol=tol)
     payload = {
         "recurrent": [
@@ -156,44 +139,22 @@ def cmd_resolve(model_path, args):
     }
     if res.classical_comparison is not None:
         payload["classical_comparison"] = res.classical_comparison
-    rep = _report(model, "resolve", seed, tol, payload, residuals, started)
-    return rep, 0
+    return payload, residuals, True
 
 
-def cmd_evolve(model_path, operator_path, args):
-    started = time.perf_counter()
-    tol = _tolerances(args)
-    model = load_model(model_path)
-    x = load_matrix(operator_path)
-    if args.t is not None:
-        check_time(args.t)
-    if args.n is not None and args.n < 0:
-        raise StructuralError("negative time")
-    kwargs = {}
-    if args.t is not None:
-        kwargs["t"] = args.t
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.picture == "schrodinger":
-        result = evolve_predual(model, x, tol=tol, **kwargs)
-    else:
-        result = evolve_heisenberg(model, x, tol=tol, **kwargs)
-    payload = {"picture": args.picture, "result": result}
-    if args.t is not None:
-        payload["t"] = args.t
-    if args.n is not None:
-        payload["n"] = args.n
-    rep = _report(model, "evolve", _seed(args), tol, payload, {}, started)
-    return rep, 0
+def cmd_evolve(model, args, tol, seed):
+    x = load_matrix(args.operator)
+    times = {k: v for k, v in (("t", args.t), ("n", args.n)) if v is not None}
+    for value in times.values():
+        check_time(value)
+    evolve = (evolve_predual if args.picture == "schrodinger"
+              else evolve_heisenberg)
+    result = evolve(model, x, tol=tol, **times)
+    return {"picture": args.picture, "result": result, **times}, {}, True
 
 
-def cmd_picard(model_path, operator_path, args):
-    started = time.perf_counter()
-    tol = _tolerances(args)
-    model = load_model(model_path)
-    x = load_matrix(operator_path)
-    if args.t is None:
-        raise StructuralError("picard requires --t")
+def cmd_picard(model, args, tol, seed):
+    x = load_matrix(args.operator)
     result = picard_limit(model, x, args.t, tol=tol, max_n=args.max_n,
                           steps=args.steps)
     payload = {
@@ -209,15 +170,10 @@ def cmd_picard(model_path, operator_path, args):
         "integral_residual": result.integral_residual,
         "exp_mismatch": result.exp_mismatch,
     }
-    rep = _report(model, "picard", _seed(args), tol, payload, residuals, started)
-    return rep, 0
+    return payload, residuals, True
 
 
-def cmd_ergodic(model_path, args):
-    started = time.perf_counter()
-    tol = _tolerances(args)
-    seed = _seed(args)
-    model = load_model(model_path)
+def cmd_ergodic(model, args, tol, seed):
     inv = invariant_states(model, tol, seed=seed)
     erg = strong_ergodicity_check(model, tol, seed=seed)
     payload = {
@@ -239,9 +195,7 @@ def cmd_ergodic(model_path, args):
             "full": eq.full, "reduced": eq.reduced,
             "y_is_one": eq.y_is_one, "consistent": eq.consistent,
         })
-    residuals = {"gap": erg.gap}
-    rep = _report(model, "ergodic", seed, tol, payload, residuals, started)
-    return rep, (0 if erg.holds or not args.strict else 1)
+    return payload, {"gap": erg.gap}, erg.holds
 
 
 def _build_parser():
@@ -251,57 +205,48 @@ def _build_parser():
                     "dynamical semigroups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=Tolerances().alg_tol,
-                       help="algebraic residual tolerance")
-        p.add_argument("--rank-tol", type=float, default=Tolerances().rank_tol,
-                       help="relative rank cutoff")
-        p.add_argument("--conv-tol", type=float, default=Tolerances().conv_tol,
-                       help="iteration convergence tolerance")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized searches (default: QDS_SEED "
-                            "environment variable, then a fixed constant)")
-        p.add_argument("--output", default=None,
-                       help="write the report to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 1 when the command verdict is false")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=Tolerances().alg_tol,
+                        help="algebraic residual tolerance")
+    common.add_argument("--rank-tol", type=float,
+                        default=Tolerances().rank_tol,
+                        help="relative rank cutoff")
+    common.add_argument("--conv-tol", type=float,
+                        default=Tolerances().conv_tol,
+                        help="iteration convergence tolerance")
+    common.add_argument("--seed", type=int, default=None,
+                        help="seed for randomized searches (default: QDS_SEED "
+                             "environment variable, then a fixed constant)")
+    common.add_argument("--output", default=None,
+                        help="write the report to this path instead of "
+                             "stdout")
+    common.add_argument("--format", choices=("json", "text"), default="json")
+    common.add_argument("--strict", action="store_true",
+                        help="exit 1 when the command verdict is false")
 
-    p = sub.add_parser("check", help="validate a model file")
-    p.add_argument("model")
-    common(p)
+    def command(name, run, help, *operands):
+        p = sub.add_parser(name, help=help, parents=[common])
+        for operand in ("model",) + operands:
+            p.add_argument(operand)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("classify", help="classify a projection")
-    p.add_argument("model")
-    p.add_argument("projection")
-    common(p)
-
-    p = sub.add_parser("resolve",
-                       help="recurrent/metastable resolution of the identity")
-    p.add_argument("model")
-    common(p)
-
-    p = sub.add_parser("evolve", help="evolve an operator or state")
-    p.add_argument("model")
-    p.add_argument("operator")
+    command("check", cmd_check, "validate a model file")
+    command("classify", cmd_classify, "classify a projection", "projection")
+    command("resolve", cmd_resolve,
+            "recurrent/metastable resolution of the identity")
+    p = command("evolve", cmd_evolve, "evolve an operator or state",
+                "operator")
     p.add_argument("--t", type=float, default=None, help="continuous time")
     p.add_argument("--n", type=int, default=None, help="discrete steps")
     p.add_argument("--picture", choices=("heisenberg", "schrodinger"),
                    default="heisenberg")
-    common(p)
-
-    p = sub.add_parser("picard", help="iterated integral-equation evolution")
-    p.add_argument("model")
-    p.add_argument("operator")
+    p = command("picard", cmd_picard, "iterated integral-equation evolution",
+                "operator")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--max-n", type=int, default=60)
     p.add_argument("--steps", type=int, default=256)
-    common(p)
-
-    p = sub.add_parser("ergodic",
-                       help="invariant states and strong ergodicity")
-    p.add_argument("model")
-    common(p)
+    command("ergodic", cmd_ergodic, "invariant states and strong ergodicity")
     return parser
 
 
@@ -316,21 +261,18 @@ def _emit(report, args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        if args.command == "check":
-            report, code = cmd_check(args.model, args)
-        elif args.command == "classify":
-            report, code = cmd_classify(args.model, args.projection, args)
-        elif args.command == "resolve":
-            report, code = cmd_resolve(args.model, args)
-        elif args.command == "evolve":
-            report, code = cmd_evolve(args.model, args.operator, args)
-        elif args.command == "picard":
-            report, code = cmd_picard(args.model, args.operator, args)
-        else:
-            report, code = cmd_ergodic(args.model, args)
+        tol = Tolerances(rank_tol=args.rank_tol, alg_tol=args.tol,
+                         conv_tol=args.conv_tol)
+        seed = _seed(args)
+        model = load_model(args.model)
+        payload, residuals, verdict = args.run(model, args, tol, seed)
+        report = Report(model_hash=model.content_hash(), command=args.command,
+                        seed=seed, tolerances=tol, payload=payload,
+                        residuals=residuals,
+                        timing_ms=(time.perf_counter() - started) * 1e3)
     except (StructuralError, ValidationFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -338,7 +280,7 @@ def main(argv=None):
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     _emit(report, args)
-    return code
+    return 1 if args.strict and not verdict else 0
 
 
 if __name__ == "__main__":

@@ -21,9 +21,7 @@ from ._linalg import (
 )
 from .errors import CrossCheckError, StructuralError
 from .models import DEFAULT_SEED, DEFAULT_TOL, DISCRETE_STEP
-from .projections import (
-    as_projection, is_subharmonic, range_projection, reduce_model,
-)
+from .projections import as_projection, range_projection, reduce_model
 from .resolution import is_transient_complement, resolve
 from .spectral import _derived, _predual_ergodic_state, corner_invariant_state
 
@@ -114,9 +112,10 @@ def invariant_states(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     The fixed points of the predual are the left kernel of S - lambda_0,
     which the Heisenberg split already holds as the adjoint of its ergodic
     rows.  Each state is the one :func:`classify_projection` certified for
-    its recurrent projection inside :func:`resolve`; it is checked here
-    for invariance under the predual, the adjoint of S, and for a
-    sub-harmonic support, which is returned alongside it."""
+    its recurrent projection inside :func:`resolve`, with full rank on
+    that sub-harmonic projection; it is checked here for invariance under
+    the predual, the adjoint of S, and its support is returned alongside
+    it."""
     d = model.dim
     rec = _derived(model, tol)
     basis = _hermitian_fixed_basis(dagger(rec.split.ergodic_rows), d, tol)
@@ -134,12 +133,8 @@ def invariant_states(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
             raise CrossCheckError(
                 f"extremal state is not invariant (residual {resid:.3g})")
         state = DensityMatrix.from_matrix(rho, tol)
-        support = support_projection(state, tol)
-        if not is_subharmonic(model, support, tol).verdict:
-            raise CrossCheckError(
-                "support of an invariant state failed the sub-harmonic test")
         states.append(state)
-        supports.append(support)
+        supports.append(support_projection(state, tol))
     return InvariantStates(basis=tuple(basis), states=tuple(states),
                            supports=tuple(supports))
 
@@ -198,14 +193,12 @@ def ergodicity_reduction_equivalence(model, p, tol=DEFAULT_TOL,
     reduced verdict splits the corner, as a second route.
     ``full`` is the model's own report from
     ``strong_ergodicity_check(model, tol, seed)`` when the caller already
-    holds it; otherwise that check runs here.
+    holds it; otherwise that check runs here.  A p that is not
+    sub-harmonic is refused by :func:`reduce_model` before its corner
+    state is formed.
     """
     p_obj = as_projection(p, tol)
-    verdict = is_subharmonic(model, p_obj, tol)
-    if not verdict.verdict:
-        raise StructuralError(
-            "p must be the support of an invariant state; it is not even "
-            f"sub-harmonic (residual {verdict.residual:.3g})")
+    reduced_model = reduce_model(model, p_obj, tol)
     _, support_rank = corner_invariant_state(model, p_obj, tol)
     if support_rank != p_obj.rank:
         raise StructuralError(
@@ -215,8 +208,7 @@ def ergodicity_reduction_equivalence(model, p, tol=DEFAULT_TOL,
 
     if full is None:
         full = strong_ergodicity_check(model, tol, seed)
-    reduced = strong_ergodicity_check(
-        reduce_model(model, p_obj, tol), tol, seed).holds
+    reduced = strong_ergodicity_check(reduced_model, tol, seed).holds
     y_is_one = is_transient_complement(model, p_obj, tol).transient
     consistent = (not y_is_one) or (full.holds == reduced)
     return ReductionEquivalence(full=full.holds, reduced=reduced,

@@ -44,6 +44,9 @@ LABEL_TRANSIENT = "transient"
 LABEL_SUBHARMONIC_NONMINIMAL = "subharmonic_nonminimal"
 LABEL_NOT_SUBHARMONIC = "not_subharmonic"
 
+# Fresh seeds tried by minimal_subharmonic before minimality is given up.
+MINIMALITY_RESEEDINGS = 4
+
 
 @dataclass(frozen=True)
 class ClassificationCertificate:
@@ -177,8 +180,7 @@ def _smaller_invariant_subspace(ops, basis, rng, tol, n_random=2,
     return basis @ best
 
 
-def minimal_subharmonic(model, within, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
-                        max_retries=4):
+def minimal_subharmonic(model, within, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """A minimal sub-harmonic projection below ``within``.
 
     Descends through strictly smaller common invariant subspaces of the
@@ -200,7 +202,7 @@ def minimal_subharmonic(model, within, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
     ops = _derived(model, tol).family.ops
     seed_seq = seed_sequence(seed)
 
-    for attempt_seed in seed_seq.spawn(max_retries):
+    for attempt_seed in seed_seq.spawn(MINIMALITY_RESEEDINGS):
         rng = np.random.default_rng(attempt_seed)
         basis = projection_basis(within_obj, tol)
         while True:
@@ -217,7 +219,7 @@ def minimal_subharmonic(model, within, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
         if is_subharmonic(model, candidate, tol).verdict:
             return candidate
     raise ConvergenceError(
-        f"minimality not certified after {max_retries} reseedings")
+        f"minimality not certified after {MINIMALITY_RESEEDINGS} reseedings")
 
 
 def classify_projection(model, p, tol=DEFAULT_TOL, seed=DEFAULT_SEED):

@@ -44,47 +44,49 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def decode_matrix(obj, path="$"):
-    """Rows of [re, im] pairs -> complex ndarray, naming the bad path on
-    malformed input."""
+def _decode_rows(obj, path, cell, cells, dtype):
+    """Rows of JSON cells -> ndarray of ``dtype``, naming the bad path on
+    malformed input.  ``cell`` decodes one cell, or returns None when it is
+    malformed; ``cells`` names a well-formed cell (plural, singular)."""
     if not isinstance(obj, list) or not obj:
         _fail(path, "expected a non-empty list of rows")
     rows = []
     width = None
     for i, row in enumerate(obj):
         if not isinstance(row, list):
-            _fail(f"{path}[{i}]", "expected a list of [re, im] pairs")
+            _fail(f"{path}[{i}]", f"expected a list of {cells[0]}")
         if width is None:
             width = len(row)
         elif len(row) != width:
             _fail(f"{path}[{i}]", f"ragged row (expected {width} entries)")
         entries = []
-        for j, cell in enumerate(row):
-            if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(_is_number(x) for x in cell)):
-                _fail(f"{path}[{i}][{j}]", "expected an [re, im] pair")
-            entries.append(complex(cell[0], cell[1]))
+        for j, raw in enumerate(row):
+            value = cell(raw)
+            if value is None:
+                _fail(f"{path}[{i}][{j}]", f"expected {cells[1]}")
+            entries.append(value)
         rows.append(entries)
-    return np.array(rows, dtype=complex)
+    return np.array(rows, dtype=dtype)
+
+
+def _complex_cell(cell):
+    if (isinstance(cell, list) and len(cell) == 2
+            and all(_is_number(x) for x in cell)):
+        return complex(cell[0], cell[1])
+    return None
+
+
+def decode_matrix(obj, path="$"):
+    """Rows of [re, im] pairs -> complex ndarray, naming the bad path on
+    malformed input."""
+    return _decode_rows(obj, path, _complex_cell,
+                        ("[re, im] pairs", "an [re, im] pair"), complex)
 
 
 def decode_real_matrix(obj, path="$"):
-    if not isinstance(obj, list) or not obj:
-        _fail(path, "expected a non-empty list of rows")
-    rows = []
-    width = None
-    for i, row in enumerate(obj):
-        if not isinstance(row, list):
-            _fail(f"{path}[{i}]", "expected a list of numbers")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            _fail(f"{path}[{i}]", f"ragged row (expected {width} entries)")
-        for j, cell in enumerate(row):
-            if not _is_number(cell):
-                _fail(f"{path}[{i}][{j}]", "expected a number")
-        rows.append([float(x) for x in row])
-    return np.array(rows, dtype=float)
+    return _decode_rows(obj, path,
+                        lambda cell: float(cell) if _is_number(cell) else None,
+                        ("numbers", "a number"), float)
 
 
 def model_to_json(model):

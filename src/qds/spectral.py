@@ -135,10 +135,10 @@ def _cluster_indices(values, radius):
     return clusters
 
 
-def spectral_split(superop, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
+def spectral_split(superop, tol=DEFAULT_TOL):
     """Clustered spectrum and ergodic projection of a superoperator.
 
-    Eigenvalues within ``cluster_tol`` of each other are grouped; the
+    Eigenvalues within ``CLUSTER_TOL`` of each other are grouped; the
     cluster containing the ergodic eigenvalue lambda_0 (1 for a discrete
     step, 0 for a continuous generator) is identified and required to be
     non-defective.  Its spectral projection E = R (L^+ R)^-1 L^+ comes
@@ -152,13 +152,13 @@ def spectral_split(superop, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
     a = superop.hermitian_basis_matrix
     n = m.shape[0]
     w = np.linalg.eig(a)[0].astype(complex)
-    clusters = _cluster_indices(w, cluster_tol)
+    clusters = _cluster_indices(w, CLUSTER_TOL)
     means = np.array([np.mean(w[c]) for c in clusters])
     mults = np.array([len(c) for c in clusters])
 
     ergodic_value = 1.0 if superop.time_kind == DISCRETE_STEP else 0.0
     candidates = [i for i, mu in enumerate(means)
-                  if abs(mu - ergodic_value) <= max(cluster_tol, 1e3 * tol.alg_tol)]
+                  if abs(mu - ergodic_value) <= max(CLUSTER_TOL, 1e3 * tol.alg_tol)]
     if not candidates:
         raise StructuralError(
             "no ergodic eigenvalue found; the superoperator is not a valid "
@@ -183,10 +183,10 @@ def spectral_split(superop, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
 
     if superop.time_kind == DISCRETE_STEP:
         peripheral = tuple(i for i, mu in enumerate(means)
-                           if abs(abs(mu) - 1.0) <= cluster_tol)
+                           if abs(abs(mu) - 1.0) <= CLUSTER_TOL)
     else:
         peripheral = tuple(i for i, mu in enumerate(means)
-                           if abs(mu.real) <= cluster_tol)
+                           if abs(mu.real) <= CLUSTER_TOL)
 
     data = SpectralData(
         eigenvalues=means, multiplicities=mults, clusters=tuple(clusters),

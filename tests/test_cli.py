@@ -165,6 +165,59 @@ class TestCommands:
         assert out == ""
         assert "QDS_SEED" in err and repr(value) in err
 
+    def test_bad_seed_is_refused_before_the_work(self, capsys, monkeypatch,
+                                                  tmp_path):
+        calls = []
+        real = qds.cli.picard_limit
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qds.cli, "picard_limit", counting)
+        monkeypatch.setenv("QDS_SEED", "seven")
+        x = write_matrix(tmp_path, "x.json", np.diag([1.0, 0.0]))
+        code, out, err = run_cli(
+            capsys, "picard", FIXTURES / "amplitude_damping_lindblad.json", x,
+            "--t", 0.5, "--steps", 16)
+        assert code == 2
+        assert out == ""
+        assert "QDS_SEED" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["check", "classify", "resolve",
+                                         "evolve", "picard", "ergodic"])
+    def test_strict_exits_1_exactly_on_a_false_verdict(self, capsys, tmp_path,
+                                                       command):
+        verdicts = {"check": lambda p: p["ok"],
+                    "classify": lambda p: p["subharmonic"]["verdict"],
+                    "ergodic": lambda p: p["strong_ergodicity"]["holds"]}
+        codes = {}
+        for path in sorted(FIXTURES.glob("*.json")):
+            model = load_model(path)
+            d = model.dim
+            # the top state: not sub-harmonic for amplitude damping
+            x = write_matrix(tmp_path, f"x{d}.json",
+                             np.diag([0.0] * (d - 1) + [1.0]))
+            time = (["--t", 0.5] if model.kind == "lindblad"
+                    else ["--n", 3])
+            operands = {"classify": [x], "evolve": [x, *time],
+                        "picard": [x, "--t", 0.5, "--steps", 16]}
+            argv = [command, path, *operands.get(command, [])]
+            code, out, _ = run_cli(capsys, *argv)
+            strict, _, _ = run_cli(capsys, *argv, "--strict")
+            if code == 0:
+                payload = json.loads(out)["payload"]
+                verdict = verdicts.get(command, lambda p: True)(payload)
+                assert strict == (0 if verdict else 1), path.stem
+            else:
+                assert (code, strict) == (2, 2), path.stem
+            codes[path.stem] = strict
+        if command == "ergodic":
+            assert codes["identity_channel_d2"] == 1
+        if command in ("resolve", "evolve", "picard"):
+            assert 1 not in codes.values()
+
     def test_resolve_runs_the_chain_oracle_once(self, capsys, monkeypatch):
         calls = []
         real = qds.classical.classical_classify

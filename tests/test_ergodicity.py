@@ -211,6 +211,34 @@ class TestReductionEquivalence:
         with pytest.raises(StructuralError, match="support"):
             ergodicity_reduction_equivalence(amplitude_damping, np.eye(2))
 
+    def test_tests_p_once_in_reduction_and_once_in_its_limit(
+            self, monkeypatch, amplitude_damping):
+        import qds.ergodicity
+        import qds.projections
+        import qds.resolution
+
+        real = qds.projections.is_subharmonic
+        tested = []
+
+        def counting(*args, **kwargs):
+            tested.append(args)
+            return real(*args, **kwargs)
+
+        for module in (qds.projections, qds.resolution, qds.ergodicity):
+            monkeypatch.setattr(module, "is_subharmonic", counting,
+                                raising=False)
+        eq = ergodicity_reduction_equivalence(amplitude_damping,
+                                              np.diag([1.0, 0.0]))
+        assert eq.consistent
+        assert len(tested) == 2
+
+    def test_rejects_non_subharmonic_as_structural(self, amplitude_damping):
+        # the excited state's corner leaks: a structural refusal, not the
+        # corner state's numerical one
+        with pytest.raises(StructuralError, match="sub-harmonic"):
+            ergodicity_reduction_equivalence(amplitude_damping,
+                                             np.diag([0.0, 1.0]))
+
     def test_random_models_consistent(self):
         rng = np.random.default_rng(14)
         for i in range(5):
