@@ -33,7 +33,8 @@ __all__ = [
     "dagger", "hermitize", "vec", "unvec", "spectral_norm", "trace_norm",
     "min_eig", "is_hermitian", "as_complex_matrix", "orthonormal_columns",
     "invariant_closure", "seed_sequence", "to_hermitian_basis",
-    "from_hermitian_basis", "hermitian_basis_columns", "expm",
+    "real_hermitian_basis", "from_hermitian_basis",
+    "hermitian_basis_columns", "expm",
     "reachability",
 ]
 
@@ -217,6 +218,16 @@ def to_hermitian_basis(m):
     _mix_rows(k.T, d)
     k *= rows[:, None] * cols
     return k
+
+
+def real_hermitian_basis(m):
+    """U^+ M U, real (float64) when its imaginary part is at most 1e-14 of
+    its largest entry, as for a map that preserves adjoints; complex
+    otherwise."""
+    a = to_hermitian_basis(m)
+    if np.abs(a.imag).max() <= 1e-14 * np.abs(a).max():
+        a = a.real
+    return a
 
 
 def from_hermitian_basis(c):

@@ -31,7 +31,7 @@ from .ergodicity import (
 )
 from .models import DEFAULT_SEED, Tolerances, validate_model
 from .picard import picard_limit
-from .projections import Projection, is_harmonic, is_subharmonic
+from .projections import Projection, is_harmonic
 from .resolution import classify_projection, resolve
 from .serialize import (
     Report, load_matrix, load_model, report_to_json, report_to_text,
@@ -90,9 +90,9 @@ def cmd_check(model, args, tol, seed):
 
 def cmd_classify(model, args, tol, seed):
     p = Projection.from_matrix(load_matrix(args.projection), tol)
-    sub = is_subharmonic(model, p, tol)
-    harmonic = is_harmonic(model, p, tol)
     cls = classify_projection(model, p, tol, seed=seed)
+    sub = cls.subharmonic
+    harmonic = is_harmonic(model, p, tol)
     payload = {
         "subharmonic": {
             "verdict": sub.verdict,

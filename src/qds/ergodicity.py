@@ -10,6 +10,9 @@ dynamically on random initial states.
 Everything predual is read off the Heisenberg split: the predual matrix is
 the conjugate transpose of the Heisenberg matrix, its ergodic projection is
 E^+, and its peripheral set and gap are those of the Heisenberg matrix.
+:func:`invariant_states` resolves the model before it reads the split, so
+that a model with several blocks is split block by block
+(:func:`qds.spectral.block_split`).
 """
 
 from dataclasses import dataclass
@@ -117,10 +120,9 @@ def invariant_states(model, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     the predual, the adjoint of S, and its support is returned alongside
     it."""
     d = model.dim
+    res = resolve(model, seed=seed, tol=tol)
     rec = _derived(model, tol)
     basis = _hermitian_fixed_basis(dagger(rec.split.ergodic_rows), d, tol)
-
-    res = resolve(model, seed=seed, tol=tol)
     s = rec.superop
     states, supports = [], []
     for cls in res.certificates:

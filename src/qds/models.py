@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (
-    as_complex_matrix, dagger, hermitize, is_hermitian, spectral_norm,
-    to_hermitian_basis, unvec, vec,
+    as_complex_matrix, dagger, hermitize, is_hermitian, real_hermitian_basis,
+    spectral_norm, unvec, vec,
 )
 from .errors import StructuralError, ValidationFailure
 
@@ -323,10 +323,7 @@ class Superoperator:
         :mod:`qds._linalg`, formed on first use.  Real (float64) when S
         preserves adjoints, read as max |Im| <= 1e-14 max |entry|, so that
         it factors with real LAPACK; complex otherwise."""
-        a = to_hermitian_basis(self.matrix)
-        if np.abs(a.imag).max() <= 1e-14 * np.abs(a).max():
-            a = a.real
-        return _freeze(a)
+        return _freeze(real_hermitian_basis(self.matrix))
 
 
 def _heisenberg_matrix(model, tol):

@@ -26,7 +26,8 @@ from .models import DEFAULT_SEED, DEFAULT_TOL, KIND_STOCHASTIC
 # benchmark's tracing test calls it through this module.
 from .models import heisenberg_superoperator  # noqa: F401
 from .projections import (
-    Projection, as_projection, is_harmonic, is_subharmonic, projection_basis,
+    Projection, SubharmonicVerdict, as_projection, is_harmonic, is_subharmonic,
+    projection_basis,
 )
 from .spectral import _derived, asymptotic_operator, corner_invariant_state
 
@@ -63,8 +64,12 @@ class ClassificationCertificate:
 
 @dataclass(frozen=True)
 class Classification:
+    """A label with its certificate; ``subharmonic`` is the verdict of
+    :func:`is_subharmonic` that :func:`classify_projection` started from."""
+
     label: str
     certificate: ClassificationCertificate
+    subharmonic: SubharmonicVerdict | None = None
 
 
 @dataclass(frozen=True)
@@ -118,10 +123,16 @@ def is_transient_complement(model, p, tol=DEFAULT_TOL):
     this is asserted.  A p that is not sub-harmonic has no limit operator
     and raises :class:`StructuralError`.
     """
-    p_obj = as_projection(p, tol)
+    return _transience(model, as_projection(p, tol), tol)
+
+
+def _transience(model, p_obj, tol, closure=None):
+    """:func:`is_transient_complement` of a :class:`Projection`, reusing
+    its reachability ``closure`` when the caller holds it."""
     d = model.dim
     y = asymptotic_operator(model, p_obj, tol)
-    closure = reachability_closure(model, p_obj, tol)
+    if closure is None:
+        closure = reachability_closure(model, p_obj, tol)
     min_eig_y = float(np.linalg.eigvalsh(y)[0])
 
     meta_reach = closure.dim == d
@@ -239,7 +250,8 @@ def classify_projection(model, p, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
             label=LABEL_NOT_SUBHARMONIC,
             certificate=ClassificationCertificate(
                 subharmonic_residual=verdict.residual,
-                witnesses=verdict.witnesses))
+                witnesses=verdict.witnesses),
+            subharmonic=verdict)
 
     trans = is_transient_complement(model, p_obj, tol)
     rng = np.random.default_rng(seed_sequence(seed))
@@ -252,7 +264,8 @@ def classify_projection(model, p, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
         complement_transient=trans.transient,
         complement_metastable=trans.metastable)
     if smaller is not None:
-        return Classification(label=LABEL_SUBHARMONIC_NONMINIMAL, certificate=cert)
+        return Classification(label=LABEL_SUBHARMONIC_NONMINIMAL,
+                              certificate=cert, subharmonic=verdict)
 
     state, support_rank = corner_invariant_state(model, p_obj, tol)
     if support_rank != p_obj.rank:
@@ -263,7 +276,7 @@ def classify_projection(model, p, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
             f"minimal projection of rank {p_obj.rank})")
     return Classification(
         label=LABEL_POSITIVE_RECURRENT,
-        certificate=replace(cert, invariant_state=state))
+        certificate=replace(cert, invariant_state=state), subharmonic=verdict)
 
 
 def _snap_to_diagonal(p, model, tol):
@@ -299,9 +312,14 @@ def resolve(model, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     limit operator y), until the complement is empty.  Each returned
     projection is certified positive recurrent; y of their sum is formed
     once, for the remainder's certificate, and must be injective (and the
-    identity at finite dimension).  Deterministic for a fixed seed.  On
-    stochastic models the supports are cross-checked against the
-    strongly-connected-component oracle and disagreement raises.
+    identity at finite dimension).  Before that y is formed, the bases of
+    the parts and of the remainder go on the model's derived record as
+    the frame of its spectral split, which the loop has not read, so that
+    the split is read block by block (:func:`qds.spectral.block_split`);
+    the closure of the sum from the loop's last round is reused.
+    Deterministic for a fixed seed.  On stochastic models the supports
+    are cross-checked against the strongly-connected-component oracle and
+    disagreement raises.
     """
     d = model.dim
     children = seed_sequence(seed).spawn(2 * d + 2)
@@ -320,13 +338,14 @@ def resolve(model, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
             p_i = _snap_to_diagonal(p_i, model, tol)
         parts.append(p_i)
         acc = Projection.from_matrix(sum(p.matrix for p in parts), tol)
-        closure = reachability_closure(model, acc, tol).basis
+        closure = reachability_closure(model, acc, tol)
         remainder = Projection.from_matrix(
-            np.eye(d) - closure @ dagger(closure), tol)
+            np.eye(d) - closure.basis @ dagger(closure.basis), tol)
 
     q = Projection.from_matrix(np.eye(d) - acc.matrix, tol)
     _check_resolution_invariants(parts, q, d, tol)
-    trans = is_transient_complement(model, acc, tol)
+    _derived(model, tol).frame = _frame(parts, d)
+    trans = _transience(model, acc, tol, closure)
     if not trans.metastable:
         raise CrossCheckError(
             "limit operator of the recurrent sum is not injective "
@@ -360,6 +379,17 @@ def resolve(model, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
         comparison = _cross_check_classical(model, result, tol)
         result = replace(result, classical_comparison=comparison)
     return result
+
+
+def _frame(parts, d):
+    """Orthonormal bases of the parts and, last, of q = 1 - their sum,
+    all from one ``eigh`` of sum_a (a + 1) p_a, so that side by side they
+    form a unitary."""
+    vals, vecs = np.linalg.eigh(sum((a + 1) * p.matrix
+                                    for a, p in enumerate(parts)))
+    block = np.rint(vals)
+    return tuple(vecs[:, block == a + 1] for a in range(len(parts))) + (
+        vecs[:, block == 0],)
 
 
 def _check_resolution_invariants(parts, q, d, tol):

@@ -11,16 +11,20 @@ alone, never from an inverse of the full eigenvector matrix: an embedded
 classical chain has a zero eigenvalue of multiplicity about d^2 - d, and
 an eigenbasis inverse then loses the kernel of the projection.
 
-Every d^2-sized factorization (the split's ``eig`` and SVD, the
-propagators' exponential :func:`qds._linalg.expm` and ``matrix_power``)
-runs on A = U^+ S U, S in the orthonormal hermitian operator basis U of
-:mod:`qds._linalg` (:attr:`Superoperator.hermitian_basis_matrix`), with
-numpy alone.  The maps of a quantum
-dynamical semigroup preserve adjoints, so A is real and numpy dispatches
-to the real LAPACK drivers; A is taken as real when max |Im A| <= 1e-14
-max |A|, which every Kraus, Lindblad and chain matrix meets, and anything
-else runs through the same code on the complex A.  Results go back
-through U, so callers see column-stacked matrices only.
+Once :func:`qds.resolution.resolve` has found two or more blocks (parts,
+or parts and a remainder), a model's split is read off the blocks of S in
+their frame (:func:`block_split`): eigenvalues and kernels of block maps
+of size r_i r_j, and one solve on the coordinates that involve the
+remainder.  Every d^2-sized factorization left (the dense split's ``eig``
+and SVD, the propagators' exponential :func:`qds._linalg.expm` and
+``matrix_power``) runs on A = U^+ S U, S in the orthonormal hermitian
+operator basis U of :mod:`qds._linalg`
+(:attr:`Superoperator.hermitian_basis_matrix`), with numpy alone.  The
+maps of a quantum dynamical semigroup preserve adjoints, so A is real and
+numpy dispatches to the real LAPACK drivers; A is taken as real when
+max |Im A| <= 1e-14 max |A|, which every Kraus, Lindblad and chain matrix
+meets, and anything else runs through the same code on the complex A.
+Results go back through U, so callers see column-stacked matrices only.
 
 Matrices derived from a model are formed once per (model, tolerances)
 pair, on first use, in a record kept on the model (:func:`_derived`).
@@ -35,7 +39,7 @@ import numpy as np
 
 from ._linalg import (
     dagger, expm, from_hermitian_basis, hermitian_basis_columns, hermitize,
-    spectral_norm, unvec, vec,
+    real_hermitian_basis, spectral_norm, unvec, vec,
 )
 from .errors import ConvergenceError, CrossCheckError, StructuralError
 from .models import (
@@ -43,12 +47,16 @@ from .models import (
     heisenberg_superoperator, predual_superoperator,
 )
 
-__all__ = ["SpectralData", "spectral_split", "evolve_heisenberg",
-           "evolve_predual", "asymptotic_operator", "corner_invariant_state"]
+__all__ = ["SpectralData", "spectral_split", "block_split",
+           "evolve_heisenberg", "evolve_predual", "asymptotic_operator",
+           "corner_invariant_state"]
 
 # Radius used to group eigenvalues into clusters and to detect the
 # peripheral set; pure numerics, independent of the user tolerances.
 CLUSTER_TOL = 1e-7
+# Largest model dimension at which a block split is also checked against
+# the dense one.
+DENSE_CHECK_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -57,15 +65,17 @@ class SpectralData:
     (Cesaro) spectral projection E.
 
     eigenvalues[i] is the mean of cluster i and clusters[i] the indices of
-    its members among the eigenvalues of ``matrix``.  E is stored factored
+    its members among the eigenvalues of ``matrix``, as the split listed
+    them (the dense split: A's; the block split: its blocks').  E is
+    stored factored
     as ``ergodic_right @ ergodic_rows``: the columns of ``ergodic_right``
     span the right kernel of S - lambda_0 (lambda_0 the ergodic cluster's
     mean) and ``ergodic_rows`` is (L^+ R)^-1 L^+, with L spanning the left
     kernel; the columns of its adjoint span the left kernel too.
 
-    The split is computed on A = U^+ S U (see the module docstring):
-    the eigenvalues are A's, which are S's, and both kernels are mapped back
-    through U, so ``ergodic_right`` and ``ergodic_rows`` act on
+    The split is computed on A = U^+ S U, or on the blocks of S in the
+    frame of a resolution (see the module docstring); both kernels are
+    mapped back, so ``ergodic_right`` and ``ergodic_rows`` act on
     column-stacked vectors and ``matrix`` is S itself.
 
     The predual matrix is the conjugate transpose of the Heisenberg one,
@@ -135,6 +145,50 @@ def _cluster_indices(values, radius):
     return clusters
 
 
+def _clustered(w, time_kind, tol):
+    """The clustering fields of :class:`SpectralData` for the eigenvalues
+    w: clusters with their means and sizes, the ergodic cluster (the one
+    nearest the ergodic eigenvalue lambda_0, 1 for a discrete step and 0
+    for a continuous generator) and the peripheral clusters."""
+    clusters = _cluster_indices(w, CLUSTER_TOL)
+    means = np.array([np.mean(w[c]) for c in clusters])
+    ergodic_value = 1.0 if time_kind == DISCRETE_STEP else 0.0
+    candidates = [i for i, mu in enumerate(means)
+                  if abs(mu - ergodic_value) <= max(CLUSTER_TOL, 1e3 * tol.alg_tol)]
+    if not candidates:
+        raise StructuralError(
+            "no ergodic eigenvalue found; the superoperator is not a valid "
+            "unital map/generator")
+    if time_kind == DISCRETE_STEP:
+        edge = np.abs(np.abs(means) - 1.0)
+    else:
+        edge = np.abs(means.real)
+    return dict(
+        eigenvalues=means,
+        multiplicities=np.array([len(c) for c in clusters]),
+        clusters=tuple(clusters),
+        peripheral=tuple(int(i) for i in np.flatnonzero(edge <= CLUSTER_TOL)),
+        ergodic_index=min(candidates,
+                          key=lambda i: abs(means[i] - ergodic_value)),
+        time_kind=time_kind)
+
+
+def _kernel_dim(s, tol, floor=0.0):
+    """Number of singular values s (descending) at the rank cutoff,
+    relative to the largest of them or to ``floor`` when that is larger."""
+    top = max(float(s[0]), floor)
+    if top == 0.0:
+        return len(s)
+    return int(np.sum(s <= max(tol.rank_tol, 1e-12) * top))
+
+
+def _require_semisimple(k, geo):
+    if geo < k:
+        raise ConvergenceError(
+            "non-diagonalizable peripheral part: the ergodic eigenvalue has a "
+            f"Jordan block (algebraic {k}, geometric {geo})")
+
+
 def spectral_split(superop, tol=DEFAULT_TOL):
     """Clustered spectrum and ergodic projection of a superoperator.
 
@@ -148,53 +202,171 @@ def spectral_split(superop, tol=DEFAULT_TOL):
     and left/right invariance checks against S.  Not cached: the split
     of a model's own superoperator is kept on the model (:func:`_derived`).
     """
-    m = superop.matrix
     a = superop.hermitian_basis_matrix
-    n = m.shape[0]
-    w = np.linalg.eig(a)[0].astype(complex)
-    clusters = _cluster_indices(w, CLUSTER_TOL)
-    means = np.array([np.mean(w[c]) for c in clusters])
-    mults = np.array([len(c) for c in clusters])
-
-    ergodic_value = 1.0 if superop.time_kind == DISCRETE_STEP else 0.0
-    candidates = [i for i, mu in enumerate(means)
-                  if abs(mu - ergodic_value) <= max(CLUSTER_TOL, 1e3 * tol.alg_tol)]
-    if not candidates:
-        raise StructuralError(
-            "no ergodic eigenvalue found; the superoperator is not a valid "
-            "unital map/generator")
-    ergodic_index = min(candidates, key=lambda i: abs(means[i] - ergodic_value))
+    n = a.shape[0]
+    fields = _clustered(np.linalg.eig(a)[0].astype(complex),
+                        superop.time_kind, tol)
 
     # The two kernels of A - lambda_0 come from one SVD; the ergodic
     # eigenvalue is semisimple iff the right kernel has its full size.
-    lam0 = means[ergodic_index]
+    lam0 = fields["eigenvalues"][fields["ergodic_index"]]
     if np.isrealobj(a):
         lam0 = lam0.real
-    k = int(mults[ergodic_index])
+    k = int(fields["multiplicities"][fields["ergodic_index"]])
     u, s, vh = np.linalg.svd(a - lam0 * np.eye(n))
-    geo = n if s[0] == 0.0 else int(np.sum(s <= max(tol.rank_tol, 1e-12) * s[0]))
-    if geo < k:
-        raise ConvergenceError(
-            "non-diagonalizable peripheral part: the ergodic eigenvalue has a "
-            f"Jordan block (algebraic {k}, geometric {geo})")
+    _require_semisimple(k, _kernel_dim(s, tol))
     right = hermitian_basis_columns(dagger(vh[n - k:]))
     left = dagger(hermitian_basis_columns(u[:, n - k:]))
-    rows = np.linalg.solve(left @ right, left)
-
-    if superop.time_kind == DISCRETE_STEP:
-        peripheral = tuple(i for i, mu in enumerate(means)
-                           if abs(abs(mu) - 1.0) <= CLUSTER_TOL)
-    else:
-        peripheral = tuple(i for i, mu in enumerate(means)
-                           if abs(mu.real) <= CLUSTER_TOL)
-
-    data = SpectralData(
-        eigenvalues=means, multiplicities=mults, clusters=tuple(clusters),
-        peripheral=peripheral, ergodic_index=ergodic_index,
-        time_kind=superop.time_kind, matrix=m, ergodic_right=right,
-        ergodic_rows=rows)
+    data = SpectralData(**fields, matrix=superop.matrix, ergodic_right=right,
+                        ergodic_rows=np.linalg.solve(left @ right, left))
     _check_ergodic_projection(data, lam0)
     return data
+
+
+def _conjugate_columns(m, w):
+    """Each column of m, a column-stacked d x d matrix x, replaced by
+    vec(w^+ x w): d x d products batched over the columns."""
+    d = w.shape[0]
+    # row c of m.T, read row-major as d x d, is x_c^T; the result's is
+    # (w^+ x_c w)^T = w^T x_c^T conj(w), formed as two large products
+    xw = m.T.reshape(-1, d) @ w.conj()
+    out = w.T @ xw.reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
+    return out.reshape(d, -1, d).transpose(1, 0, 2).reshape(-1, d * d).T
+
+
+def block_split(superop, frame, tol=DEFAULT_TOL):
+    """The split of :func:`spectral_split`, read off the blocks of S in
+    the frame of a resolution.
+
+    ``frame`` holds orthonormal bases of the recurrent parts p_1 ... p_k
+    and, last, of the remainder q = 1 - sum p_a (it may have no columns);
+    side by side they form a unitary W.  Each p_a is sub-harmonic, so
+    every generator G has G p_a = p_a G p_a, and the (i, j) block of
+    tau(x) depends only on the blocks (m, n) of x with m = i unless i is
+    q, and n = j unless j is q.  In the frame, S' = Phi S Phi^+ with
+    Phi vec(x) = vec(W^+ x W), formed by batched d x d products, is thus
+    block lower-triangular when ordered as part pairs, then pairs with
+    one q, then (q, q); and each part-pair block sees only itself.  The
+    entries this sets to zero are measured first, and must stay below
+    100 ``alg_tol`` times the largest entry of S' (at least 1): the
+    triangularity check.  Then
+
+    * the eigenvalues are those of the diagonal block maps T_ij, i <= j,
+      and their conjugates for T_ji: S preserves adjoints, so T_ji is
+      T_ij conjugated by x -> x^+, and T_ii is real in the hermitian
+      basis;
+    * q is transient, so lambda_0 is an eigenvalue of part-pair blocks
+      only; one SVD of T_ab - lambda_0 per part pair (a, b) holding
+      members of the ergodic cluster gives its two kernels, and their
+      dimensions must add up to the cluster's size.  The rank cutoff is
+      relative to the largest entry of S' when that exceeds the block's
+      top singular value: the blocks of the identity map minus 1 are
+      round-off;
+    * the left kernel of S' - lambda_0 is zero on the coordinates that
+      involve q, and a right kernel vector r extends to them by one solve
+      of (S'_ZZ - lambda_0) z = -S'_ZP r.
+
+    E = R (L^+ R)^-1 L^+ goes back through Phi^+ and must pass the checks
+    of :func:`spectral_split` against S itself.
+    """
+    d = superop.dim
+    w = np.hstack(frame)
+    q = len(frame) - 1
+    label = np.repeat(np.arange(len(frame)), [b.shape[1] for b in frame])
+    sp = dagger(_conjugate_columns(
+        dagger(_conjugate_columns(superop.matrix, w)), w))
+    scale = float(np.abs(sp).max())
+    _check_triangular(sp, label, q, scale, tol)
+
+    # coordinates of block (i, j), column-stacked within the block
+    axes = [np.flatnonzero(label == i) for i in range(len(frame))]
+    coords = {(i, j): (axes[i][:, None] + d * axes[j]).ravel(order="F")
+              for i in range(len(frame)) for j in range(len(frame))
+              if axes[i].size and axes[j].size}
+    pairs, values = [], []
+    for (i, j), idx in coords.items():
+        if i <= j:
+            t = sp[idx[:, None], idx]
+            v = np.linalg.eigvals(real_hermitian_basis(t) if i == j else t)
+            pairs.append((i, j))
+            values.append(v)
+            if i != j:
+                pairs.append((j, i))
+                values.append(v.conj())
+    fields = _clustered(np.concatenate(values).astype(complex),
+                        superop.time_kind, tol)
+    erg = fields["ergodic_index"]
+    lam0 = fields["eigenvalues"][erg].real
+    k = int(fields["multiplicities"][erg])
+    owner = np.repeat(np.arange(len(pairs)), [len(v) for v in values])
+    members = np.bincount(owner[fields["clusters"][erg]], minlength=len(pairs))
+
+    right = np.zeros((d * d, k), dtype=complex)
+    left = np.zeros((d * d, k), dtype=complex)
+    col = geo = 0
+    for (a, b), m in zip(pairs, members):
+        if m == 0 or q in (a, b):
+            continue
+        idx = coords[a, b]
+        shifted = sp[idx[:, None], idx] - lam0 * np.eye(idx.size)
+        u, s, vh = np.linalg.svd(shifted)
+        geo += min(int(m), _kernel_dim(s, tol, scale))
+        right[idx, col:col + m] = dagger(vh[idx.size - m:])
+        left[idx, col:col + m] = u[:, idx.size - m:]
+        col += m
+    _require_semisimple(k, geo)
+    z = np.flatnonzero((np.tile(label, d) == q) | (np.repeat(label, d) == q))
+    if z.size:
+        right[z] = np.linalg.solve(sp[z[:, None], z] - lam0 * np.eye(z.size),
+                                   -(sp[z] @ right))
+    rows = np.linalg.solve(dagger(left) @ right, dagger(left))
+
+    back = dagger(w)
+    data = SpectralData(
+        **fields, matrix=superop.matrix,
+        ergodic_right=_conjugate_columns(right, back),
+        ergodic_rows=dagger(_conjugate_columns(dagger(rows), back)))
+    _check_ergodic_projection(data, lam0)
+    return data
+
+
+def _check_triangular(sp, label, q, scale, tol):
+    """The entries of the frame matrix S' that the sub-harmonicity of the
+    parts sets to zero: row block (i, j) sees column block (m, n) only if
+    m = i or i = q, and n = j or j = q."""
+    d = label.size
+    sees = (label[:, None] == label) | (label[:, None] == q)
+    # S'[a + d b, c + d e] sits at [b, a, e, c]
+    zero = ~(sees[None, :, None, :] & sees[:, None, :, None])
+    residual = float(np.abs(sp.reshape(d, d, d, d)[zero]).max(initial=0.0))
+    gate = 100.0 * tol.alg_tol * max(1.0, scale)
+    if not residual <= gate:
+        raise CrossCheckError(
+            "spectral split: triangularity check failed, the resolution's "
+            f"frame leaves {residual:.3g} > {gate:.3g} where sub-harmonic "
+            "parts make S block-triangular")
+
+
+def _check_against_dense(block, dense):
+    """The block split against the dense one: the same clusters (means
+    within ``CLUSTER_TOL``, multiplicities, peripheral set, ergodic
+    cluster) and the same E on the probe vector, to 1e-10."""
+    means = dense.eigenvalues
+    match = [int(np.argmin(np.abs(means - mu))) for mu in block.eigenvalues]
+    same = (
+        sorted(match) == list(range(len(means)))
+        and match[block.ergodic_index] == dense.ergodic_index
+        and all(abs(means[j] - mu) <= CLUSTER_TOL
+                and dense.multiplicities[j] == block.multiplicities[i]
+                and (j in dense.peripheral) == (i in block.peripheral)
+                for i, (mu, j) in enumerate(zip(block.eigenvalues, match))))
+    probe = probe_vec(block.matrix.shape[0])
+    want = dense.apply_ergodic(probe)
+    off = float(np.linalg.norm(block.apply_ergodic(probe) - want))
+    if not same or not off <= 1e-10 * max(1.0, np.linalg.norm(want)):
+        raise CrossCheckError(
+            "spectral split: the block split disagrees with the dense split "
+            f"(same clusters: {same}; E on the probe differs by {off:.3g})")
 
 
 def _check_ergodic_projection(data, lam0):
@@ -304,6 +476,11 @@ class _Derived:
     family, each formed on first use.  S keeps its hermitian-basis matrix
     A, so the split, the step and the horizon form A once between them."""
 
+    # Orthonormal bases of a resolution's parts and, last, of its
+    # remainder; set by :func:`qds.resolution.resolve` before it first
+    # reads the split.
+    frame = None
+
     def __init__(self, model, tol):
         self.model, self.tol = model, tol
 
@@ -323,7 +500,15 @@ class _Derived:
 
     @cached_property
     def split(self):
-        return spectral_split(self.superop, self.tol)
+        """:func:`block_split` on ``frame`` when it has two or more
+        blocks, checked against :func:`spectral_split` up to dimension
+        ``DENSE_CHECK_DIM``; :func:`spectral_split` otherwise."""
+        if self.frame is None or sum(b.shape[1] > 0 for b in self.frame) < 2:
+            return spectral_split(self.superop, self.tol)
+        data = block_split(self.superop, self.frame, self.tol)
+        if self.model.dim <= DENSE_CHECK_DIM:
+            _check_against_dense(data, spectral_split(self.superop, self.tol))
+        return data
 
     @cached_property
     def step(self):

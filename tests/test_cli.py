@@ -8,6 +8,8 @@ import pytest
 
 import qds.classical
 import qds.cli
+import qds.projections
+import qds.resolution
 from qds.cli import main
 from qds.serialize import (
     decode_matrix, decode_real_matrix, encode_matrix, load_model,
@@ -107,6 +109,26 @@ class TestCommands:
         assert doc["payload"]["subharmonic"]["verdict"] is True
         assert doc["payload"]["classification"]["label"] == "positive_recurrent"
         assert doc["payload"]["complement"]["transient"] is True
+
+    def test_classify_tests_subharmonicity_twice(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # once in classify_projection, whose verdict the report reads, and
+        # once inside the limit operator of the complement's certificate
+        calls = []
+        real = qds.projections.is_subharmonic
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (qds.projections, qds.resolution, qds.cli):
+            if getattr(module, "is_subharmonic", None) is real:
+                monkeypatch.setattr(module, "is_subharmonic", counting)
+        proj = write_matrix(tmp_path, "p.json", np.diag([1.0, 0.0]))
+        code, _, _ = run_cli(capsys, "classify",
+                             FIXTURES / "amplitude_damping.json", proj)
+        assert code == 0
+        assert len(calls) == 2
 
     def test_classify_strict_verdict(self, capsys, tmp_path):
         proj = write_matrix(tmp_path, "p.json", np.diag([0.0, 1.0]))

@@ -398,6 +398,19 @@ class TestEachLimitOnce:
                 res.remainder_certificate.certificate.min_eig_y,
                 np.linalg.eigvalsh(res.y_total)[0])
 
+    def test_resolve_reuses_the_closure_of_the_recurrent_sum(
+            self, monkeypatch):
+        counts = collections.Counter()
+        _counting(monkeypatch, counts, qds.resolution, "reachability_closure")
+        rng = np.random.default_rng(19)
+        for kind in ("kraus", "lindblad", "chain"):
+            counts.clear()
+            res = resolve(_model_with_remainder(kind, rng))
+            # one per iteration of the loop, the last being the recurrent
+            # sum's, and one per part's classification
+            assert counts["reachability_closure"] == 2 * len(
+                res.recurrent_projections)
+
     def test_transience_tests_subharmonicity_only_inside_the_limit(
             self, amplitude_damping, monkeypatch):
         counts = collections.Counter()
