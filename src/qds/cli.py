@@ -89,7 +89,7 @@ def cmd_check(model, args, tol, seed):
 
 
 def cmd_classify(model, args, tol, seed):
-    p = Projection.from_matrix(load_matrix(args.projection), tol)
+    p = Projection.from_matrix(load_matrix(args.projection, model.dim), tol)
     cls = classify_projection(model, p, tol, seed=seed)
     sub = cls.subharmonic
     harmonic = is_harmonic(model, p, tol)
@@ -143,7 +143,7 @@ def cmd_resolve(model, args, tol, seed):
 
 
 def cmd_evolve(model, args, tol, seed):
-    x = load_matrix(args.operator)
+    x = load_matrix(args.operator, model.dim)
     times = {k: v for k, v in (("t", args.t), ("n", args.n)) if v is not None}
     for value in times.values():
         check_time(value)
@@ -154,7 +154,7 @@ def cmd_evolve(model, args, tol, seed):
 
 
 def cmd_picard(model, args, tol, seed):
-    x = load_matrix(args.operator)
+    x = load_matrix(args.operator, model.dim)
     result = picard_limit(model, x, args.t, tol=tol, max_n=args.max_n,
                           steps=args.steps)
     payload = {

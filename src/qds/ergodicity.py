@@ -11,8 +11,9 @@ Everything predual is read off the Heisenberg split: the predual matrix is
 the conjugate transpose of the Heisenberg matrix, its ergodic projection is
 E^+, and its peripheral set and gap are those of the Heisenberg matrix.
 :func:`invariant_states` resolves the model before it reads the split, so
-that a model with several blocks is split block by block
-(:func:`qds.spectral.block_split`).
+that the split is read off the blocks of the resolution's frame
+(:func:`qds.spectral.block_split`); a model with one full-rank part is
+split on the whole-space frame.
 """
 
 from dataclasses import dataclass

@@ -165,13 +165,20 @@ def dump_model(model, path):
         fh.write("\n")
 
 
-def load_matrix(path):
+def load_matrix(path, dim):
     """Load a bare matrix file (rows of [re, im] pairs, optionally wrapped
-    in {"matrix": ...})."""
+    in {"matrix": ...}), which must be dim x dim: the size of the model it
+    acts on."""
     obj = _read_json(path)
     if isinstance(obj, dict) and "matrix" in obj:
-        return decode_matrix(obj["matrix"], "$.matrix")
-    return decode_matrix(obj, "$")
+        m = decode_matrix(obj["matrix"], "$.matrix")
+    else:
+        m = decode_matrix(obj, "$")
+    if m.shape != (dim, dim):
+        raise StructuralError(
+            f"{path}: operand is {m.shape[0]}x{m.shape[1]}, but the model "
+            f"acts on {dim}x{dim} matrices")
+    return m
 
 
 @dataclass(frozen=True)

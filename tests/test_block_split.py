@@ -121,14 +121,22 @@ def test_block_split_matches_the_dense_split(name):
 
 
 def test_one_full_rank_part_keeps_the_dense_split(monkeypatch):
-    calls = []
-    real = spectral.block_split
+    frames, dense, checks = [], [], []
+    real_block, real_dense = spectral.block_split, spectral.spectral_split
     monkeypatch.setattr(spectral, "block_split",
-                        lambda *args: calls.append(1) or real(*args))
+                        lambda s, frame, tol: frames.append(frame)
+                        or real_block(s, frame, tol))
+    monkeypatch.setattr(spectral, "spectral_split",
+                        lambda s, tol: dense.append(1) or real_dense(s, tol))
+    monkeypatch.setattr(spectral, "_check_against_dense",
+                        lambda *args: checks.append(1))
     model = random_kraus_model(np.random.default_rng(43), 3)
     res = resolve(model)
     assert [p.rank for p in res.recurrent_projections] == [3]
-    assert calls == []
+    assert dense == [1]
+    [(whole, remainder)] = frames
+    assert np.array_equal(whole, np.eye(3)) and remainder.shape == (3, 0)
+    assert checks == []
 
 
 def test_resolve_and_ergodic_factor_no_superoperator(monkeypatch, capsys,

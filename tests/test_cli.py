@@ -310,6 +310,20 @@ class TestCommands:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["evolve", "--t", 0.5],
+        ["evolve", "--t", 0.5, "--picture", "schrodinger"],
+        ["picard", "--t", 0.5, "--steps", 16]])
+    def test_an_operand_of_the_wrong_size_is_structural(self, capsys,
+                                                        tmp_path, argv):
+        x = write_matrix(tmp_path, "x.json", np.eye(3))
+        model = FIXTURES / "amplitude_damping_lindblad.json"
+        code, out, err = run_cli(capsys, argv[0], model, x, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {x}: operand is 3x3, but the model acts on "
+                       "2x2 matrices\n")
+
     @pytest.mark.parametrize("role", ["model", "operator"])
     @pytest.mark.parametrize("fault", ["missing", "malformed"])
     def test_unreadable_input_names_its_path(self, capsys, tmp_path, role,
