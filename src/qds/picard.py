@@ -162,6 +162,8 @@ def picard_limit(model, x, t, tol=DEFAULT_TOL, max_n=60, steps=256):
     integral-equation residual below ten times it; reports the mismatch
     against the superoperator-exponential route alongside the value.
     """
+    if not (isinstance(max_n, (int, np.integer)) and max_n >= 1):
+        raise StructuralError("max_n must be an integer >= 1")
     grid = _PicardGrid(model, x, t, steps, tol)
     table = grid.t0
     iterates = [hermitize(table[-1])]

@@ -391,13 +391,13 @@ def _propagator(superop, model, t=None, n=None):
     exponential of the generator) or n steps (discrete, the n-th power),
     formed on A = U^+ S U and mapped back to column-stacked form."""
     if model.kind == KIND_LINDBLAD:
-        if t is None:
-            raise StructuralError("continuous-time model: pass t")
+        if t is None or n is not None:
+            raise StructuralError("continuous-time model: pass t, not n")
         check_time(t)
         return from_hermitian_basis(
             expm(float(t) * superop.hermitian_basis_matrix))
-    if n is None:
-        raise StructuralError("discrete-time model: pass n")
+    if n is None or t is not None:
+        raise StructuralError("discrete-time model: pass n, not t")
     check_time(n)
     if n != int(n):
         raise StructuralError(f"step count must be an integer, got {n}")

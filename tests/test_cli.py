@@ -157,6 +157,27 @@ class TestCommands:
             assert out == ""
             assert "time must be finite" in err
 
+    @pytest.mark.parametrize("fixture, refused", [
+        ("amplitude_damping.json", "discrete-time model: pass n, not t"),
+        ("amplitude_damping_lindblad.json",
+         "continuous-time model: pass t, not n")])
+    def test_evolve_refuses_the_other_kinds_time(self, capsys, tmp_path,
+                                                 fixture, refused):
+        x = write_matrix(tmp_path, "x.json", np.diag([1.0, 0.0]))
+        code, out, err = run_cli(capsys, "evolve", FIXTURES / fixture, x,
+                                 "--t", 0.5, "--n", 3)
+        assert (code, out, err) == (2, "", f"error: {refused}\n")
+
+    @pytest.mark.parametrize("max_n", [0, -2])
+    def test_picard_refuses_fewer_than_one_level(self, capsys, tmp_path,
+                                                 max_n):
+        x = write_matrix(tmp_path, "x.json", np.diag([1.0, 0.0]))
+        code, out, err = run_cli(
+            capsys, "picard", FIXTURES / "amplitude_damping_lindblad.json", x,
+            "--t", 1, "--steps", 16, "--max-n", max_n)
+        assert (code, out) == (2, "")
+        assert err == "error: max_n must be an integer >= 1\n"
+
     def test_negative_infinite_time_is_negative(self, capsys, tmp_path):
         x = write_matrix(tmp_path, "x.json", np.diag([1.0, 0.0]))
         code, _, err = run_cli(
@@ -313,7 +334,8 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [
         ["classify"], ["evolve", "--t", 0.5],
         ["evolve", "--t", 0.5, "--picture", "schrodinger"],
-        ["picard", "--t", 0.5, "--steps", 16]])
+        ["picard", "--t", 0.5, "--steps", 16],
+        ["evolve", "--t", 0.5, "--n", 3]])
     def test_an_operand_of_the_wrong_size_is_structural(self, capsys,
                                                         tmp_path, argv):
         x = write_matrix(tmp_path, "x.json", np.eye(3))

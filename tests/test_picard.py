@@ -98,6 +98,15 @@ class TestPicardLimit:
             picard_limit(amplitude_damping_lindblad, x, 1.0, max_n=1,
                          tol=Tolerances(conv_tol=1e-14), steps=16)
 
+    @pytest.mark.parametrize("max_n", [0, -2, 2.5])
+    def test_fewer_than_one_level_is_structural(self,
+                                                amplitude_damping_lindblad,
+                                                max_n):
+        x = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(StructuralError, match="max_n"):
+            picard_limit(amplitude_damping_lindblad, x, 1.0, max_n=max_n,
+                         steps=16)
+
     def test_integral_equation_residual(self):
         rng = np.random.default_rng(9)
         model = random_lindblad_model(rng, 2, 1, jump_scale=0.8)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 import qds.projections
 import qds.resolution
 import qds.spectral
+from qds._linalg import invariant_closure
 from qds.ergodicity import corner_invariant_state, invariant_states
-from qds.errors import CrossCheckError, StructuralError
+from qds.errors import ConvergenceError, CrossCheckError, StructuralError
 from qds.models import (
     DEFAULT_TOL, heisenberg_superoperator, kraus_model, lindblad_model,
     stochastic_model,
@@ -24,9 +26,9 @@ from qds.rand import (
     random_stochastic_matrix, random_unitary, structured_stochastic_matrix,
 )
 from qds.resolution import (
-    classify_projection, commutant_dimension, find_harmonic_projection,
-    is_irreducible, is_transient_complement, minimal_subharmonic,
-    reachability_closure, resolve,
+    MINIMALITY_RESEEDINGS, classify_projection, commutant_dimension,
+    find_harmonic_projection, is_irreducible, is_transient_complement,
+    minimal_subharmonic, reachability_closure, resolve,
 )
 from qds.spectral import (
     _predual_ergodic_state, asymptotic_operator, evolve_heisenberg,
@@ -109,6 +111,62 @@ class TestMinimalSubharmonic:
         with pytest.raises(StructuralError):
             minimal_subharmonic(amplitude_damping, Projection.zero(2))
 
+    def test_one_search_per_descent_step_plus_the_stopping_one(
+            self, amplitude_damping, monkeypatch):
+        # rank 2 -> rank 1, then the search that finds nothing is the
+        # certificate; no second search follows it
+        calls = []
+        real = qds.resolution._smaller_invariant_subspace
+
+        def counting(ops, basis, rng, tol):
+            calls.append(basis.shape[1])
+            return real(ops, basis, rng, tol)
+
+        monkeypatch.setattr(qds.resolution, "_smaller_invariant_subspace",
+                            counting)
+        p = minimal_subharmonic(amplitude_damping, Projection.identity(2))
+        assert np.allclose(p.matrix, np.diag([1.0, 0.0]), atol=1e-9)
+        assert calls == [2, 1]
+
+    @staticmethod
+    def _failing_candidates(monkeypatch, n_failing):
+        """Make ``is_subharmonic`` refuse the first ``n_failing`` proper
+        candidates (rank below the model's dimension); returns the list of
+        the residuals it handed out."""
+        handed = []
+        real = qds.resolution.is_subharmonic
+
+        def flaky(model, p, tol=DEFAULT_TOL):
+            verdict = real(model, p, tol)
+            if p.rank < model.dim and len(handed) < n_failing:
+                handed.append(0.5 + len(handed))
+                return dataclasses.replace(verdict, verdict=False,
+                                           residual=handed[-1])
+            return verdict
+
+        monkeypatch.setattr(qds.resolution, "is_subharmonic", flaky)
+        return handed
+
+    def test_a_later_seed_rescues_a_candidate_failing_is_subharmonic(
+            self, amplitude_damping, monkeypatch):
+        handed = self._failing_candidates(monkeypatch, 1)
+        p = minimal_subharmonic(amplitude_damping, Projection.identity(2),
+                                seed=3)
+        assert handed == [0.5]
+        assert np.allclose(p.matrix, np.diag([1.0, 0.0]), atol=1e-9)
+
+    def test_every_seed_failing_is_subharmonic_names_the_check(
+            self, amplitude_damping, monkeypatch):
+        handed = self._failing_candidates(monkeypatch, 100)
+        with pytest.raises(ConvergenceError) as err:
+            minimal_subharmonic(amplitude_damping, Projection.identity(2),
+                                seed=3)
+        assert len(handed) == MINIMALITY_RESEEDINGS
+        assert str(err.value) == (
+            "no minimal candidate passed is_subharmonic in "
+            f"{MINIMALITY_RESEEDINGS} seeds (last residual "
+            f"{handed[-1]:.3g} > alg_tol {DEFAULT_TOL.alg_tol:.3g})")
+
 
 class TestClassify:
     def test_damping_labels(self, amplitude_damping):
@@ -118,6 +176,30 @@ class TestClassify:
                                    np.eye(2)).label == "subharmonic_nonminimal"
         assert classify_projection(amplitude_damping,
                                    np.diag([0.0, 1.0])).label == "not_subharmonic"
+
+    def test_nonminimal_for_every_seed_without_a_cyclic_vector(
+            self, identity_channel):
+        # every vector's orbit is its own line: the interior vectors see it
+        for seed in range(6):
+            assert classify_projection(identity_channel, np.eye(2),
+                                       seed=seed).label == \
+                "subharmonic_nonminimal"
+
+    @pytest.mark.parametrize("builder", [random_block_diagonal_kraus,
+                                         random_block_diagonal_lindblad])
+    @pytest.mark.parametrize("model_seed", [0, 1])
+    def test_nonminimal_for_every_seed_when_cyclic_but_reducible(
+            self, builder, model_seed):
+        # a generic vector is cyclic for a direct sum of two irreducible
+        # blocks, so only the eigenvectors of the search see the blocks
+        model = builder(np.random.default_rng(model_seed), [2, 3])
+        ops = qds.spectral._derived(model, DEFAULT_TOL).family.ops
+        v = np.random.default_rng(7).standard_normal((5, 1)).astype(complex)
+        assert invariant_closure(ops, v, DEFAULT_TOL.rank_tol).shape[1] == 5
+        for seed in range(6):
+            assert classify_projection(model, np.eye(5),
+                                       seed=seed).label == \
+                "subharmonic_nonminimal"
 
     def test_certificate_contents(self, amplitude_damping):
         cls = classify_projection(amplitude_damping, np.diag([1.0, 0.0]))
