@@ -5,6 +5,14 @@ class StructuralError(ValueError):
     """Malformed input: bad shapes, bad JSON, unknown model kind."""
 
 
+class NotSubharmonicError(StructuralError):
+    """A projection that must be sub-harmonic is not; carries the residual."""
+
+    def __init__(self, message, residual):
+        super().__init__(message)
+        self.residual = residual
+
+
 class ValidationFailure(ValueError):
     """A model failed its algebraic invariants (carries the report)."""
 

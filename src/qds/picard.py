@@ -12,9 +12,12 @@ Both exponentials, the d x d E(h) on the grid and the d^2 x d^2 one it is
 compared with, come from :func:`qds._linalg.expm`.
 
 The integral is evaluated by fourth-order composite quadrature on a
-uniform grid (Simpson, with a 3/8 block for odd prefixes and a single
-trapezoid step for the first node); level n-1 values are cached on the
-grid and reused, so one level costs O(steps^2) small matrix products.
+uniform grid: Simpson, with a 3/8 block for odd prefixes, and a single
+trapezoid step for the first node (its O(h^3) error enters later nodes
+with an O(h) weight).  As E(kh) = E(h)^k, the running sums
+R_j = sum_{n<=j} c_n E((j-n)h)^+ phi_n E((j-n)h) obey
+R_j = E(h)^+ R_{j-1} E(h) + c_j phi_j, and each node's integral is read
+off them, so one level costs O(steps) small matrix products.
 """
 
 from dataclasses import dataclass
@@ -51,35 +54,16 @@ class PicardResult:
     exp_mismatch: float
 
 
-def _prefix_weights(steps, h):
-    """Quadrature weights for the integrals over [0, t_j], j = 0..steps.
-
-    Composite Simpson for even prefixes; Simpson plus a closing 3/8 block
-    for odd ones; a single trapezoid for j = 1 (its O(h^3) local error
-    enters later prefixes with an O(h) weight, preserving fourth order).
-    """
-    table = [np.zeros(1)]
-    for j in range(1, steps + 1):
-        w = np.zeros(j + 1)
-        if j == 1:
-            w[0] = w[1] = h / 2.0
-        elif j % 2 == 0:
-            w[0] = w[j] = h / 3.0
-            w[1:j:2] = 4.0 * h / 3.0
-            w[2:j:2] = 2.0 * h / 3.0
-        else:
-            m = j - 3
-            if m > 0:
-                w[0] = h / 3.0
-                w[1:m:2] = 4.0 * h / 3.0
-                w[2:m:2] = 2.0 * h / 3.0
-                w[m] = h / 3.0
-            w[m] += 3.0 * h / 8.0
-            w[m + 1] += 9.0 * h / 8.0
-            w[m + 2] += 9.0 * h / 8.0
-            w[j] += 3.0 * h / 8.0
-        table.append(w)
-    return table
+def _final_weights(steps, h):
+    """Weights of the composite rule over [0, t_steps] for steps >= 8."""
+    w = np.zeros(steps + 1)
+    m = steps - 3 * (steps % 2)
+    w[0] = w[m] = h / 3.0
+    w[1:m:2] = 4.0 * h / 3.0
+    w[2:m:2] = 2.0 * h / 3.0
+    if m < steps:
+        w[m:] += np.array([3.0, 9.0, 9.0, 3.0]) * h / 8.0
+    return w
 
 
 class _PicardGrid:
@@ -109,32 +93,48 @@ class _PicardGrid:
             cells.append(cells[-1] @ e_step)
         self.e = np.stack(cells)                      # e[k] = exp(k h Y)
         self.edag = np.conj(np.transpose(self.e, (0, 2, 1)))
-        self.t0 = np.einsum("nab,bc,ncd->nad", self.edag, self.x, self.e)
-        self.weights = _prefix_weights(self.steps, self.h)
+        self.t0 = self.edag @ self.x @ self.e
+        self.weights = _final_weights(self.steps, self.h)
 
     def phi(self, table):
         acc = np.zeros_like(table)
         for l in self.jumps:
-            acc += np.einsum("ab,nbc,cd->nad", dagger(l), table, l)
+            acc += dagger(l) @ table @ l
         return acc
+
+    def carry(self, k, table):
+        return self.edag[k] @ table @ self.e[k]
 
     def next_level(self, table):
         phi = self.phi(table)
-        out = np.empty_like(table)
-        out[0] = self.t0[0]
+        h = self.h
+        # the running sums R_j, with c_n = h/3, then 4h/3 odd and 2h/3 even
+        simpson = (2.0 * h / 3.0) * phi
+        simpson[1::2] *= 2.0
+        simpson[0] /= 2.0
+        e, edag = self.e[1], self.edag[1]
         for j in range(1, self.steps + 1):
-            integral = np.einsum("n,nab,nbc,ncd->ad", self.weights[j],
-                                 self.edag[j::-1], phi[: j + 1], self.e[j::-1])
-            out[j] = self.t0[j] + integral
+            simpson[j] += edag @ simpson[j - 1] @ e
+        simpson -= (h / 3.0) * phi          # even j: Simpson over [0, t_j]
+        out = self.t0 + simpson
+        # odd j >= 3: Simpson to t_{j-3} carried on by E(3h), then 3/8
+        odd = np.arange(3, self.steps + 1, 2)
+        out[odd] = (self.t0[odd]
+                    + self.carry(3, simpson[odd - 3]
+                                 + (3.0 * h / 8.0) * phi[odd - 3])
+                    + (9.0 * h / 8.0) * (self.carry(2, phi[odd - 2])
+                                         + self.carry(1, phi[odd - 1]))
+                    + (3.0 * h / 8.0) * phi[odd])
+        out[1] = self.t0[1] + (h / 2.0) * (self.carry(1, phi[0]) + phi[1])
         return out
 
     def integral_residual(self, table):
-        """Residual of the fixed-point integral equation at the final time."""
+        """Residual of the fixed-point integral equation at the final time,
+        by direct quadrature: the check of :meth:`next_level`'s sums."""
         phi = self.phi(table)
-        j = self.steps
-        integral = np.einsum("n,nab,nbc,ncd->ad", self.weights[j],
-                             self.edag[j::-1], phi, self.e[j::-1])
-        return spectral_norm(table[j] - self.t0[j] - integral)
+        integral = np.einsum("n,nab->ab", self.weights,
+                             self.edag[::-1] @ phi @ self.e[::-1])
+        return spectral_norm(table[-1] - self.t0[-1] - integral)
 
 
 def picard_iterate(model, x, t, n, steps=64, tol=DEFAULT_TOL):

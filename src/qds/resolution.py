@@ -23,7 +23,8 @@ import numpy as np
 from ._linalg import (
     dagger, hermitize, invariant_closure, seed_sequence, spectral_norm, unvec,
 )
-from .errors import ConvergenceError, CrossCheckError, StructuralError
+from .errors import (ConvergenceError, CrossCheckError, NotSubharmonicError,
+                     StructuralError)
 from .models import DEFAULT_SEED, DEFAULT_TOL, KIND_STOCHASTIC
 # Kept importable as ``qds.resolution.heisenberg_superoperator``: the
 # benchmark's tracing test calls it through this module.
@@ -204,9 +205,9 @@ def minimal_subharmonic(model, within, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
         raise StructuralError("'within' must be a nonzero projection")
     verdict = is_subharmonic(model, within_obj, tol)
     if not verdict.verdict:
-        raise StructuralError(
-            "'within' must be sub-harmonic "
-            f"(residual {verdict.residual:.3g})")
+        raise NotSubharmonicError(
+            f"'within' must be sub-harmonic (residual {verdict.residual:.3g})",
+            verdict.residual)
 
     ops = _derived(model, tol).family.ops
     start = projection_basis(within_obj, tol)
@@ -326,8 +327,14 @@ def resolve(model, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
         if iteration == d:
             raise ConvergenceError(
                 "resolution loop exceeded the space dimension")
-        p_i = minimal_subharmonic(model, remainder, seed=children[iteration],
-                                  tol=tol)
+        try:
+            p_i = minimal_subharmonic(model, remainder,
+                                      seed=children[iteration], tol=tol)
+        except NotSubharmonicError as exc:
+            raise CrossCheckError(
+                f"resolve: the remainder after {len(parts)} part(s) fails "
+                f"is_subharmonic (residual {exc.residual:.3g} > alg_tol "
+                f"{tol.alg_tol:.3g})") from exc
         if model.kind == KIND_STOCHASTIC:
             p_i = _snap_to_diagonal(p_i, model, tol)
         parts.append(p_i)

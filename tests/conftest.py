@@ -11,6 +11,8 @@ import pathlib
 import numpy as np
 import pytest
 
+from qds.models import lindblad_model
+from qds.rand import random_block_diagonal_lindblad
 from qds.serialize import load_model
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -41,6 +43,18 @@ def dephasing():
 @pytest.fixture(scope="session")
 def absorbing_chain():
     return load_model(FIXTURES / "absorbing_chain_3.json")
+
+
+@pytest.fixture(scope="session")
+def remainder_off_subharmonic():
+    """A 3 + 3 block Lindblad model with its time unit rescaled by
+    c = 1e6 (H -> cH, L -> sqrt(c) L): the remainder left by the first
+    part of ``resolve`` has an ``is_subharmonic`` residual of about
+    1.35e-8, above the default alg_tol."""
+    model = random_block_diagonal_lindblad(np.random.default_rng(3), [3, 3])
+    c = 1e6
+    return lindblad_model(c * model.hamiltonian,
+                          [np.sqrt(c) * l for l in model.lindblad_ops])
 
 
 def dag(a):

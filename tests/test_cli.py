@@ -314,6 +314,28 @@ class TestCommands:
         assert doc["payload"]["trace"]
         assert doc["residuals"]["exp_mismatch"] <= 1e-8
 
+    def test_picard_on_an_odd_grid(self, capsys, tmp_path):
+        # nine steps end the final node's quadrature on a 3/8 block
+        x = write_matrix(tmp_path, "x.json",
+                         [[0.5, 0.5 + 0.2j], [0.5 - 0.2j, 0.5]])
+        code, out, _ = run_cli(capsys, "picard", FIXTURES / "dephasing.json",
+                               x, "--t", 1, "--steps", 9)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["payload"]["steps"] == 9
+        assert doc["residuals"]["exp_mismatch"] <= 1e-4
+        assert doc["residuals"]["integral_residual"] <= 1e-9
+
+    def test_resolve_failing_on_its_own_remainder_is_numerical(
+            self, capsys, tmp_path, remainder_off_subharmonic):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_json(remainder_off_subharmonic)))
+        code, out, err = run_cli(capsys, "resolve", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "numerical error: resolve: the remainder after 1 part(s) fails "
+            "is_subharmonic (residual ")
+
     def test_ergodic_command(self, capsys):
         code, out, _ = run_cli(capsys, "ergodic",
                                FIXTURES / "amplitude_damping.json")

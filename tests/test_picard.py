@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from qds.errors import ConvergenceError, StructuralError
-from qds.models import Tolerances, lindblad_model
-from qds.picard import picard_iterate, picard_limit
+from qds.models import DEFAULT_TOL, Tolerances, lindblad_model
+from qds.picard import _PicardGrid, picard_iterate, picard_limit
 from qds.rand import random_hermitian, random_lindblad_model
 from qds.spectral import evolve_heisenberg
 
@@ -124,3 +125,63 @@ class TestPicardLimit:
         for a, b in zip(res.iterates, trace.iterates, strict=True):
             assert np.array_equal(a, b)
         assert np.array_equal(res.value, res.iterates[-1])
+
+
+def _prefix_weights(steps, h):
+    """Weight rows of the integrals over [0, t_j], j = 0..steps: composite
+    Simpson for even prefixes, Simpson plus a closing 3/8 block for odd
+    ones, and one trapezoid for j = 1."""
+    table = [np.zeros(1)]
+    for j in range(1, steps + 1):
+        w = np.zeros(j + 1)
+        if j == 1:
+            w[0] = w[1] = h / 2.0
+        elif j % 2 == 0:
+            w[0] = w[j] = h / 3.0
+            w[1:j:2] = 4.0 * h / 3.0
+            w[2:j:2] = 2.0 * h / 3.0
+        else:
+            m = j - 3
+            if m > 0:
+                w[0] = h / 3.0
+                w[1:m:2] = 4.0 * h / 3.0
+                w[2:m:2] = 2.0 * h / 3.0
+                w[m] = h / 3.0
+            w[m] += 3.0 * h / 8.0
+            w[m + 1] += 9.0 * h / 8.0
+            w[m + 2] += 9.0 * h / 8.0
+            w[j] += 3.0 * h / 8.0
+        table.append(w)
+    return table
+
+
+def _direct_level(model, grid, table):
+    """One level by the per-node convolution: at node j, the sum over
+    n <= j of w_j[n] E((j-n)h)^+ Phi(table[n]) E((j-n)h)."""
+    phi = [sum(dag(l) @ a @ l for l in model.lindblad_ops) for a in table]
+    out = [grid.t0[0]]
+    for j, w in enumerate(_prefix_weights(grid.steps, grid.h)[1:], 1):
+        out.append(grid.t0[j] + sum(
+            w[n] * dag(grid.e[j - n]) @ phi[n] @ grid.e[j - n]
+            for n in range(j + 1)))
+    return np.array(out)
+
+
+class TestRunningSums:
+    @pytest.mark.parametrize("steps", [8, 9, 16, 33, 64])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_level_equals_the_direct_quadrature(self, d, steps, seed):
+        # odd step counts end on the closing 3/8 block
+        rng = np.random.default_rng(seed)
+        model = random_lindblad_model(rng, d, 2, jump_scale=0.8)
+        t = rng.uniform(0.2, 2.0)
+        grid = _PicardGrid(model, random_hermitian(rng, d), t, steps,
+                           DEFAULT_TOL)
+        table = np.array([random_hermitian(rng, d)
+                          for _ in range(steps + 1)])
+        for level in (grid.t0, table):
+            got = grid.next_level(level)
+            want = _direct_level(model, grid, level)
+            assert np.abs(got - want).max() <= 1e-13

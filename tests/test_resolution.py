@@ -111,6 +111,14 @@ class TestMinimalSubharmonic:
         with pytest.raises(StructuralError):
             minimal_subharmonic(amplitude_damping, Projection.zero(2))
 
+    def test_a_within_that_is_not_subharmonic_is_structural(
+            self, amplitude_damping):
+        # the excited state decays, so its projection is not sub-harmonic
+        with pytest.raises(StructuralError,
+                           match="'within' must be sub-harmonic"):
+            minimal_subharmonic(amplitude_damping,
+                                Projection.onto_states(2, [1]))
+
     def test_one_search_per_descent_step_plus_the_stopping_one(
             self, amplitude_damping, monkeypatch):
         # rank 2 -> rank 1, then the search that finds nothing is the
@@ -284,6 +292,30 @@ class TestResolve:
         assert np.array_equal(part.matrix, minimal_subharmonic(
             identity_channel, Projection.identity(2), seed=4).matrix)
         assert ss.n_children_spawned == 0
+
+    def test_a_remainder_failing_is_subharmonic_is_a_numerical_failure(
+            self, remainder_off_subharmonic, monkeypatch):
+        # the remainder is resolve's own, not the caller's input: it fails
+        # as a numerical check naming its stage, after one is_subharmonic
+        # call each on the whole space, the first part and the remainder
+        checked = []
+        real = qds.resolution.is_subharmonic
+
+        def counting(model, p, tol=DEFAULT_TOL):
+            checked.append(p.rank)
+            return real(model, p, tol)
+
+        monkeypatch.setattr(qds.resolution, "is_subharmonic", counting)
+        with pytest.raises(CrossCheckError) as err:
+            resolve(remainder_off_subharmonic)
+        message = str(err.value)
+        assert message.startswith(
+            "resolve: the remainder after 1 part(s) fails is_subharmonic "
+            "(residual ")
+        residual = float(message.split("residual ")[1].split(" ")[0])
+        assert residual > DEFAULT_TOL.alg_tol
+        assert message.endswith(f"> alg_tol {DEFAULT_TOL.alg_tol:.3g})")
+        assert checked == [6, 3, 3]
 
     def test_a_numpy_integer_seed_is_recorded(self, identity_channel):
         res = resolve(identity_channel, seed=np.int64(4))
