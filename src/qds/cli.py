@@ -3,23 +3,23 @@
 Subcommands: ``check``, ``classify``, ``resolve``, ``evolve``, ``picard``,
 ``ergodic``.  Models and operators are JSON files in the format described
 in :mod:`qds.serialize`; reports go to stdout or ``--output`` as JSON
-(the machine contract) or text.  Exit codes: 0 success, 1 a false verdict
-under ``--strict``, 2 structural or numerical errors.  The default seed
-comes from ``--seed``, then the ``QDS_SEED`` environment variable.
+(the machine contract) or text.  Exit codes: 0 success or help, 1 a false
+verdict under ``--strict``, 2 a usage, structural or numerical error.
+The seed comes from ``--seed``, then the ``QDS_SEED`` environment variable.
 
-Each ``cmd_*`` function takes ``(model, args, tol, seed)`` and returns
-``(payload, residuals, verdict)``; it neither times nor reports.
-:func:`main` alone reads the tolerances and the seed, loads the model,
-times the command, builds the one :class:`~qds.serialize.Report` and
-picks the exit code.  The seven shared flags come from one parent
-parser, so a subcommand's ``--help`` lists its own options (``evolve``
-and ``picard``) after them.
+One table lists the shared options and each command's operands and own
+options; :func:`_parse` reads ``argv`` by it in one loop, and the help is
+rendered from it.  Each ``cmd_*`` function takes ``(model, args, tol,
+seed)`` and returns ``(payload, residuals, verdict)``; it neither times
+nor reports.  :func:`main` alone reads the tolerances and the seed, loads
+the model, times the command, builds the one
+:class:`~qds.serialize.Report` and picks the exit code.
 """
 
-import argparse
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,24 +57,13 @@ def _seed(args):
 
 
 def _classification_payload(cls):
-    cert = cls.certificate
-    out = {"label": cls.label, "certificate": {}}
-    c = out["certificate"]
-    if cert.subharmonic_residual is not None:
-        c["subharmonic_residual"] = cert.subharmonic_residual
-    if cert.witnesses:
-        c["witnesses"] = [{"operator": w[0], "residual": w[1]}
-                          for w in cert.witnesses]
-    if cert.invariant_state is not None:
-        c["invariant_state"] = np.asarray(cert.invariant_state)
-    if cert.closure_dim is not None:
-        c["closure_dim"] = cert.closure_dim
-    if cert.min_eig_y is not None:
-        c["min_eig_y"] = cert.min_eig_y
-    if cert.complement_transient is not None:
-        c["complement_transient"] = cert.complement_transient
-        c["complement_metastable"] = cert.complement_metastable
-    return out
+    """The label and the certificate's fields that are set, in order."""
+    cert = {k: v for k, v in vars(cls.certificate).items()
+            if v is not None and (k != "witnesses" or v)}
+    if "witnesses" in cert:
+        cert["witnesses"] = [{"operator": op, "residual": r}
+                             for op, r in cert["witnesses"]]
+    return {"label": cls.label, "certificate": cert}
 
 
 def cmd_check(model, args, tol, seed):
@@ -198,70 +187,134 @@ def cmd_ergodic(model, args, tol, seed):
     return payload, {"gap": erg.gap}, erg.holds
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="qds",
-        description="Structure analysis of finite-dimensional quantum "
-                    "dynamical semigroups")
-    sub = parser.add_subparsers(dest="command", required=True)
+# option: (type or choices, default, help), bool a flag, default ... required;
+# command: (runner, help, operands after the model, its own options)
+_SHARED = {
+    "--tol": (float, Tolerances().alg_tol, "algebraic residual tolerance"),
+    "--rank-tol": (float, Tolerances().rank_tol, "relative rank cutoff"),
+    "--conv-tol": (float, Tolerances().conv_tol, "convergence tolerance"),
+    "--seed": (int, None, "search seed (default: QDS_SEED, then a constant)"),
+    "--output": (str, None, "write the report to this path, not stdout"),
+    "--format": (("json", "text"), "json", "report format: json or text"),
+    "--strict": (bool, False, "exit 1 when the command verdict is false"),
+}
+_COMMANDS = {
+    "check": (cmd_check, "validate a model file", (), {}),
+    "classify": (cmd_classify, "classify a projection", ("projection",), {}),
+    "resolve": (cmd_resolve, "recurrent/metastable resolution of the "
+                             "identity", (), {}),
+    "evolve": (cmd_evolve, "evolve an operator or state", ("operator",), {
+        "--t": (float, None, "continuous time"),
+        "--n": (int, None, "discrete steps"),
+        "--picture": (("heisenberg", "schrodinger"), "heisenberg",
+                      "heisenberg (observables) or schrodinger (states)")}),
+    "picard": (cmd_picard, "iterated integral-equation evolution",
+               ("operator",), {"--t": (float, ..., "continuous time"),
+                               "--max-n": (int, 60, "most Picard iterates"),
+                               "--steps": (int, 256, "quadrature steps")}),
+    "ergodic": (cmd_ergodic, "invariant states and strong ergodicity", (),
+                {}),
+}
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=Tolerances().alg_tol,
-                        help="algebraic residual tolerance")
-    common.add_argument("--rank-tol", type=float,
-                        default=Tolerances().rank_tol,
-                        help="relative rank cutoff")
-    common.add_argument("--conv-tol", type=float,
-                        default=Tolerances().conv_tol,
-                        help="iteration convergence tolerance")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized searches (default: QDS_SEED "
-                             "environment variable, then a fixed constant)")
-    common.add_argument("--output", default=None,
-                        help="write the report to this path instead of "
-                             "stdout")
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--strict", action="store_true",
-                        help="exit 1 when the command verdict is false")
 
-    def command(name, run, help, *operands):
-        p = sub.add_parser(name, help=help, parents=[common])
-        for operand in ("model",) + operands:
-            p.add_argument(operand)
-        p.set_defaults(run=run)
-        return p
+class _Stop(Exception):
+    """``(command or None, message)``: a usage error, or help if None."""
 
-    command("check", cmd_check, "validate a model file")
-    command("classify", cmd_classify, "classify a projection", "projection")
-    command("resolve", cmd_resolve,
-            "recurrent/metastable resolution of the identity")
-    p = command("evolve", cmd_evolve, "evolve an operator or state",
-                "operator")
-    p.add_argument("--t", type=float, default=None, help="continuous time")
-    p.add_argument("--n", type=int, default=None, help="discrete steps")
-    p.add_argument("--picture", choices=("heisenberg", "schrodinger"),
-                   default="heisenberg")
-    p = command("picard", cmd_picard, "iterated integral-equation evolution",
-                "operator")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--max-n", type=int, default=60)
-    p.add_argument("--steps", type=int, default=256)
-    command("ergodic", cmd_ergodic, "invariant states and strong ergodicity")
-    return parser
+
+def _usage(name):
+    operands = " ".join(("model", *_COMMANDS[name][2])) if name else "..."
+    return f"usage: qds {name or '<command>'} [options] {operands}"
+
+
+def _help(name):
+    """The commands, or one command's options, as listed in the table."""
+    if name is None:
+        head = "commands:"
+        rows = [(c, spec[1]) for c, spec in _COMMANDS.items()]
+    else:
+        head = f"{_COMMANDS[name][1]}\n\noptions:"
+        rows = [("-h, --help", "show this help and exit")] + [
+            (o + ("" if kind is bool else " " + o[2:].upper()),
+             text + " (required)" * (default is ...))
+            for o, (kind, default, text) in {**_SHARED,
+                                             **_COMMANDS[name][3]}.items()]
+    return "\n".join((_usage(name), "", head,
+                      *(f"  {a:<22}{b}" for a, b in rows)))
+
+
+def _parse(argv):
+    """The namespace :func:`main` and the ``cmd_*`` functions read: the
+    command, its operands, and options given as ``--opt value`` or
+    ``--opt=value``, by exact name or unique prefix, among the operands."""
+    name = argv[0] if argv else None
+    if name not in _COMMANDS:
+        raise _Stop(None, None if name in ("-h", "--help") else
+                    f"invalid command {name!r}" if name is not None
+                    else "a command is required")
+    run, _, operands, own = _COMMANDS[name]
+    table = {**_SHARED, **own}
+    known = ("--help", *table)
+    opts = {o: spec[1] for o, spec in table.items()}
+    found, items = [], iter(argv[1:])
+    for item in items:
+        if not item.startswith("-"):
+            found.append(item)
+            continue
+        key, eq, value = item.partition("=")
+        # an exact match first, then a unique prefix, as argparse matches
+        hits = [o for o in known if o == key] or [
+            o for o in known if o.startswith(key) and key.startswith("--")]
+        if item == "-h" or hits == ["--help"]:
+            raise _Stop(name, None)
+        if len(hits) != 1:
+            raise _Stop(name, f"ambiguous option {key}: {', '.join(hits)}"
+                        if hits else f"unrecognized option {key}")
+        opt, kind = hits[0], table[hits[0]][0]
+        if kind is bool and eq:
+            raise _Stop(name, f"{opt} takes no value")
+        if kind is not bool and not eq:
+            value = next(items, "--")
+            if value.startswith("--"):
+                raise _Stop(name, f"{opt} expects a value")
+        try:
+            opts[opt] = (True if kind is bool else kind[kind.index(value)]
+                         if isinstance(kind, tuple) else kind(value))
+        except ValueError:
+            what = getattr(kind, "__name__", "choice")
+            raise _Stop(name, f"{opt}: invalid {what} {value!r}") from None
+    names = ("model", *operands)
+    missing = [*names[len(found):], *(o for o, v in opts.items() if v is ...)]
+    if missing or len(found) > len(names):
+        raise _Stop(name, f"missing {', '.join(missing)}" if missing
+                    else f"unexpected operand {found[len(names)]!r}")
+    return SimpleNamespace(command=name, run=run, **dict(zip(names, found)),
+                           **{o[2:].replace("-", "_"): v
+                              for o, v in opts.items()})
 
 
 def _emit(report, args):
     text = (report_to_json(report) if args.format == "json"
             else report_to_text(report))
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise StructuralError(f"{args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Stop as stop:
+        name, message = stop.args
+        if message is None:
+            print(_help(name))
+            return 0
+        print(f"{_usage(name)}\nerror: {message}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     try:
         tol = Tolerances(rank_tol=args.rank_tol, alg_tol=args.tol,
@@ -273,13 +326,13 @@ def main(argv=None):
                         seed=seed, tolerances=tol, payload=payload,
                         residuals=residuals,
                         timing_ms=(time.perf_counter() - started) * 1e3)
+        _emit(report, args)
     except (StructuralError, ValidationFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CrossCheckError, ConvergenceError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args)
     return 1 if args.strict and not verdict else 0
 
 

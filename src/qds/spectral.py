@@ -246,10 +246,13 @@ def block_split(superop, frame, tol=DEFAULT_TOL):
     w = np.hstack(frame)
     q = len(frame) - 1
     label = np.repeat(np.arange(len(frame)), [b.shape[1] for b in frame])
-    sp = dagger(_conjugate_columns(
+    # on the whole-space frame S' is S, with nothing to conjugate or check
+    whole = q == 1 and np.array_equal(frame[0], np.eye(d))
+    sp = superop.matrix if whole else dagger(_conjugate_columns(
         dagger(_conjugate_columns(superop.matrix, w)), w))
     scale = float(np.abs(sp).max())
-    _check_triangular(sp, label, q, scale, tol)
+    if not whole:
+        _check_triangular(sp, label, q, scale, tol)
 
     # coordinates of block (i, j), column-stacked within the block
     axes = [np.flatnonzero(label == i) for i in range(len(frame))]
@@ -259,9 +262,12 @@ def block_split(superop, frame, tol=DEFAULT_TOL):
     pairs, values, diagonal = [], [], {}
     for (i, j), idx in coords.items():
         if i <= j:
-            t = sp[idx[:, None], idx]
-            if i == j:
-                diagonal[i] = t = real_hermitian_basis(t)
+            if whole:  # the one block, (0, 0), is S
+                diagonal[i] = t = superop.hermitian_basis_matrix
+            else:
+                t = sp[idx[:, None], idx]
+                if i == j:
+                    diagonal[i] = t = real_hermitian_basis(t)
             # eig on a diagonal block, not eigvals: perfbench's isolation
             # guard counts the d^2-sized eig of each whole-space split
             v = np.linalg.eig(t)[0] if i == j else np.linalg.eigvals(t)
@@ -307,8 +313,9 @@ def block_split(superop, frame, tol=DEFAULT_TOL):
     back = dagger(w)
     data = SpectralData(
         **fields, matrix=superop.matrix,
-        ergodic_right=_conjugate_columns(right, back),
-        ergodic_rows=dagger(_conjugate_columns(dagger(rows), back)))
+        ergodic_right=right if whole else _conjugate_columns(right, back),
+        ergodic_rows=rows if whole else dagger(
+            _conjugate_columns(dagger(rows), back)))
     _check_ergodic_projection(data, lam0)
     return data
 

@@ -199,3 +199,40 @@ def test_the_dense_check_refuses_a_different_split():
     _check_against_dense(one, one)
     with pytest.raises(CrossCheckError, match="disagrees with the dense"):
         _check_against_dense(one, other)
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_the_whole_space_split_matches_a_permuted_identity_frame(
+        name, monkeypatch):
+    # a permuted identity frame takes the general path: both conjugations
+    # through the frame, the triangularity check and the block read from S'
+    model = PROBES[name][0]
+    s = heisenberg_superoperator(dataclasses.replace(model))
+    d = model.dim
+    perm = np.roll(np.arange(d), 1)
+    calls = []
+    for fn in ("_conjugate_columns", "_check_triangular",
+               "real_hermitian_basis"):
+        def counting(*args, _real=getattr(spectral, fn), _name=fn):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(spectral, fn, counting)
+    whole = spectral_split(s)
+    assert calls == []
+    general = block_split(s, (np.eye(d)[:, perm], np.zeros((d, 0))))
+    assert sorted(set(calls)) == ["_check_triangular", "_conjugate_columns",
+                                  "real_hermitian_basis"]
+
+    match = _matched(whole, general)
+    assert sorted(match) == list(range(len(general.eigenvalues)))
+    assert np.abs(whole.eigenvalues - general.eigenvalues[match]).max() \
+        <= 1e-12
+    assert np.array_equal(whole.multiplicities,
+                          general.multiplicities[match])
+    assert sorted(match[i] for i in whole.peripheral) == \
+        sorted(general.peripheral)
+    assert match[whole.ergodic_index] == general.ergodic_index
+    probe = spectral.probe_vec(d * d)
+    want = general.apply_ergodic(probe)
+    assert np.linalg.norm(whole.apply_ergodic(probe) - want) <= 1e-12 * max(
+        1.0, np.linalg.norm(want))

@@ -16,6 +16,7 @@ from qds.serialize import (
     model_from_json, model_to_json,
 )
 from qds.errors import StructuralError
+from qds.models import Tolerances
 
 from conftest import FIXTURES
 
@@ -403,6 +404,123 @@ class TestCommands:
         doc = json.loads(target.read_text())
         assert doc["payload"]["ok"] is True
 
+    def test_unwritable_output_is_structural(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "check", FIXTURES / "dephasing.json",
+                                 "--output", target)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {target}: ")
+        assert "Traceback" not in err
+        assert not target.exists()
+
+
+SHARED_OPTIONS = ["--tol", "--rank-tol", "--conv-tol", "--seed", "--output",
+                  "--format", "--strict"]
+OWN_OPTIONS = {"evolve": ["--t", "--n", "--picture"],
+               "picard": ["--t", "--max-n", "--steps"]}
+COMMANDS = ["check", "classify", "resolve", "evolve", "picard", "ergodic"]
+
+
+class TestUsage:
+    """Help exits 0 with the text on stdout; a usage error returns 2 with
+    the usage line and a message naming what was wrong on stderr."""
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_top_level_help_lists_every_command(self, capsys, flag):
+        code, out, err = run_cli(capsys, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: qds ")
+        for command in COMMANDS:
+            assert f"\n  {command} " in out
+
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_lists_every_option(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: qds {command} ")
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("  -")]
+        assert listed == ["-h,"] + SHARED_OPTIONS + OWN_OPTIONS.get(
+            command, [])
+
+    def test_help_after_operands_does_no_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(qds.cli, "load_model", None)
+        code, out, err = run_cli(capsys, "check",
+                                 FIXTURES / "dephasing.json", "-h")
+        assert (code, err) == (0, "")
+        assert "--strict" in out
+
+    @pytest.mark.parametrize("argv, named", [
+        ([], "command"),
+        (["frobnicate"], "'frobnicate'"),
+        (["--tol", "1e-9", "check"], "'--tol'"),
+        (["check"], "model"),
+        (["classify", "M"], "projection"),
+        (["check", "M", "extra"], "'extra'"),
+        (["check", "M", "--bogus"], "--bogus"),
+        (["check", "M", "-x"], "-x"),
+        (["check", "M", "--tol", "tiny"], "--tol"),
+        (["check", "M", "--tol="], "--tol"),
+        (["resolve", "M", "--seed", "1.5"], "--seed"),
+        (["check", "M", "--format", "xml"], "'xml'"),
+        (["evolve", "M", "X", "--picture", "interaction"], "--picture"),
+        (["evolve", "M", "X", "--t"], "--t"),
+        (["evolve", "M", "X", "--t", "--n", "3"], "--t"),
+        (["picard", "M", "X"], "--t"),
+        (["picard", "M", "X", "--steps", "9"], "--t"),
+        (["picard", "M", "X", "--t", "1", "--s", "9"], "--s"),
+        (["check", "M", "--strict=yes"], "--strict"),
+    ])
+    def test_usage_error_returns_2(self, capsys, monkeypatch, argv, named):
+        monkeypatch.setattr(qds.cli, "load_model", None)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        usage, message = err.rstrip("\n").split("\n")
+        assert usage.startswith("usage: qds ")
+        assert message.startswith("error: ")
+        assert named in message
+
+    def test_an_ambiguous_prefix_names_its_matches(self, capsys):
+        code, _, err = run_cli(capsys, "picard", "M", "X", "--t", 1,
+                               "--s", 9)
+        assert code == 2
+        assert "--seed, --strict, --steps" in err
+
+    def test_option_forms(self):
+        args = qds.cli._parse([
+            "picard", "--t=-0.5", "m.json", "--seed", "-3", "--max", "7",
+            "x.json", "--steps=9", "--out", "r.json", "--strict",
+            "--format=text", "--to", "1e-9", "--rank-tol=-1"])
+        assert args.run is qds.cli.cmd_picard
+        assert (args.command, args.model, args.operator) == (
+            "picard", "m.json", "x.json")
+        # --t is matched exactly although --tol begins with it
+        assert (args.t, args.seed, args.max_n, args.steps) == (-0.5, -3, 7, 9)
+        assert (args.tol, args.rank_tol) == (1e-9, -1.0)
+        assert (args.output, args.strict, args.format) == (
+            "r.json", True, "text")
+
+    def test_defaults(self):
+        tol = Tolerances()
+        args = qds.cli._parse(["evolve", "m.json", "x.json"])
+        assert vars(args) == {
+            "command": "evolve", "run": qds.cli.cmd_evolve,
+            "model": "m.json", "operator": "x.json",
+            "tol": tol.alg_tol, "rank_tol": tol.rank_tol,
+            "conv_tol": tol.conv_tol, "seed": None, "output": None,
+            "format": "json", "strict": False, "t": None, "n": None,
+            "picture": "heisenberg"}
+        args = qds.cli._parse(["picard", "m.json", "x.json", "--t", "2"])
+        assert (args.t, args.max_n, args.steps) == (2.0, 60, 256)
+
+    def test_an_option_prefix_through_main(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "check", FIXTURES / "dephasing.json",
+                               "--out", target, "--form=text")
+        assert (code, out) == (0, "")
+        assert target.read_text().startswith("command:    check\n")
+
 
 class TestDeterminism:
     def test_identical_runs_identical_reports(self, capsys):
@@ -479,6 +597,11 @@ class TestNumpyOnly:
     def test_fresh_import_loads_no_scipy(self):
         out = _python("-c", "import sys, qds.cli; print(sorted(m for m in "
                       "sys.modules if m.split('.')[0] == 'scipy'))")
+        assert out.strip() == "[]"
+
+    def test_fresh_import_loads_no_argument_parser(self):
+        out = _python("-c", "import sys, qds.cli; print(sorted(m for m in "
+                      "('argparse', 'gettext') if m in sys.modules))")
         assert out.strip() == "[]"
 
     def test_every_command_runs_with_scipy_blocked(self, capsys, tmp_path):
